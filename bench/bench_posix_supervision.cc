@@ -132,7 +132,6 @@ int main() {
                                          "--warm-startup-ms", "60"});
       slow.checkpoint_file = checkpoint_file;
     }
-    slow.startup_timeout = posix::Millis{3000};
     posix::PosixSupervisor slow_supervisor(slow_tree, {slow}, config);
     if (auto status = slow_supervisor.start_all(); !status.ok()) {
       std::fprintf(stderr, "startup failed: %s\n",

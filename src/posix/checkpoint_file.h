@@ -25,6 +25,8 @@
 // byte.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -127,11 +129,15 @@ inline FileState read_checkpoint_file(const std::string& path,
   return FileState::kValid;
 }
 
-/// Write `name`'s checkpoint to `path`; returns success.
+/// Write `name`'s checkpoint to `path`; returns success. The line goes to a
+/// per-process temp file that is rename()d over `path`, so a concurrent
+/// reader (the supervisor's spawn gate) or a SIGKILL mid-write only ever
+/// sees the old file or the complete new one, never a truncated one.
 inline bool write_checkpoint_file(const std::string& path,
                                   const std::string& name,
                                   const std::string& payload) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* file = std::fopen(temp.c_str(), "w");
   if (file == nullptr) return false;
   const std::uint64_t checksum =
       fnv1a(checksum_body(kFileVersion, name, payload));
@@ -139,7 +145,12 @@ inline bool write_checkpoint_file(const std::string& path,
       file, "%s %d %s %zu %s %llx\n", std::string(kMagic).c_str(),
       kFileVersion, name.c_str(), payload.size(), payload.c_str(),
       static_cast<unsigned long long>(checksum));
-  return std::fclose(file) == 0 && rc > 0;
+  if (std::fclose(file) != 0 || rc <= 0 ||
+      std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace mercury::posix::ckpt

@@ -1,35 +1,46 @@
 // PosixSupervisor: the restart tree driving real OS processes.
 //
 // The simulator proves the paper's numbers; this backend proves the
-// mechanism is not a simulation artifact. It is FD and REC fused into one
-// real-time supervision loop (single-threaded, poll()-based):
+// mechanism is not a simulation artifact. It is a thin adaptor that runs the
+// unmodified core::Recoverer (REC) over real children, in one
+// single-threaded poll() loop:
 //
-//   * each worker is a real child process (fork/exec), pinged over its
-//     stdin/stdout pipes with "PING n"/"PONG n" lines;
-//   * a missed pong raises a failure; the restart tree + oracle pick the
-//     cell to restart, exactly as in core::Recoverer — guess-too-low
-//     recommendations escalate to the parent cell when the failure
-//     persists (§3.3);
-//   * restarting a cell SIGKILLs every component in its group and respawns
-//     them, masking them from detection until they report READY;
-//   * a worker that keeps failing after max_root_restarts full restarts is
-//     parked as a hard failure.
+//   * timer heap — a private sim::Simulator, advanced to wall-clock
+//     seconds since process start before any input reaches REC, holds REC's
+//     timers (restart deadlines, backoff, lazy drain, oracle feedback); the
+//     poll() timeout is capped by its next event;
+//   * failure detector — each worker is pinged over its stdin/stdout pipes
+//     ("PING n"/"PONG n"); a missed pong, or a startup that outlives REC's
+//     restart_deadline outside any action, is sent to REC as report-failure
+//     over a zero-latency bus::DedicatedLink, and REC's mask/unmask commands
+//     on the same link silence detection of groups it is restarting;
+//   * process control — core::ProcessControl::restart_group SIGKILLs and
+//     respawns the group (through the checkpoint gate) and completes once
+//     every member has printed READY.
+//
+// Every recovery decision — oracle choice, escalation, pacing, attempt
+// budgets, hard-failure parking, DAG dispatch, traffic-driven queueing — is
+// REC's, so both backends share one policy by construction.
 //
 // Timings here are real milliseconds, so tests keep startup delays small.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bus/dedicated_link.h"
 #include "core/oracle.h"
+#include "core/process_control.h"
+#include "core/recoverer.h"
 #include "core/restart_tree.h"
 #include "posix/child_process.h"
+#include "sim/simulator.h"
 #include "util/result.h"
 
 namespace mercury::posix {
@@ -42,72 +53,31 @@ struct WorkerSpec {
   /// argv[0] = binary path. The supervisor appends nothing; encode worker
   /// options (--name, --startup-ms, ...) here.
   std::vector<std::string> argv;
-  /// READY must arrive within this after spawn, or the start is itself a
-  /// failure (escalates like any other).
-  Millis startup_timeout{2000};
-  /// Checkpoint state file (ISSUE 3), empty = no checkpointing. Must match
-  /// the worker's --checkpoint-file. The supervisor validates the file's
+  /// Checkpoint state file, empty = no checkpointing. Must match the
+  /// worker's --checkpoint-file. The supervisor validates the file's
   /// checksum before every spawn and deletes it when invalid, so the worker
   /// never warm-starts from garbage.
   std::string checkpoint_file;
 };
 
-struct SupervisorConfig {
+/// REC's policy knobs (escalation window, root/attempt budgets, backoff,
+/// dispatch mode, traffic-driven queueing, restart deadline) come from the
+/// RecConfig base; the fields below belong to the pipe detector and the §7
+/// health policy.
+struct SupervisorConfig : core::RecConfig {
+  /// The one startup deadline: REC abandons a restart action after it, and
+  /// the detector reports a worker still starting after it outside any
+  /// action (a hung start_all).
+  SupervisorConfig() { restart_deadline = Millis{2000}; }
+
   Millis ping_period{100};
   Millis ping_timeout{80};
-  /// Re-failure within this window of a restart's completion escalates.
-  Millis escalation_window{1500};
-  int max_root_restarts = 2;
-  /// Window over which uncured root restarts accumulate per worker.
-  Millis root_retry_window{30'000};
   /// §7 health beacons over the pipes: when a worker's reported memory
   /// ("HEALTH <name> mem=<MB>" lines) exceeds this, it is proactively
-  /// restarted. 0 disables the policy.
+  /// restarted through Recoverer::planned_restart. 0 disables the policy.
   double memory_limit_mb = 0.0;
   /// Minimum spacing between proactive restarts of the same worker.
   Millis rejuvenation_spacing{2'000};
-
-  // --- Restart-path hardening (ISSUE 2), mirroring core::RecConfig --------
-  /// Exponential backoff between successive restarts of the same cell:
-  /// attempt n of a streak is delayed backoff_base * backoff_factor^(n-1),
-  /// capped at backoff_cap. Zero base disables. While a delayed restart is
-  /// pending, its group stays masked and the spawn waits.
-  Millis backoff_base{0};
-  double backoff_factor = 2.0;
-  Millis backoff_cap{5'000};
-  /// A cell with no restarts for this long forgets its streak.
-  Millis backoff_decay{10'000};
-  /// Restart attempts tolerated per failure chain (reactive actions only)
-  /// before the chain's reported worker is parked as a hard failure. Zero
-  /// disables (only max_root_restarts parks).
-  int max_attempts_per_chain = 0;
-
-  // --- Partner checkpoint replicas (ISSUE 7) ------------------------------
-  /// Mirror of the simulator's L1 tier: the supervisor keeps an in-memory
-  /// copy of each worker's last *validated* checkpoint payload. When the
-  /// on-disk state file is missing or fails validation at spawn time, the
-  /// file is rewritten from the copy before the exec, so the worker still
-  /// warm-starts instead of falling off the redundancy cliff. Off by
-  /// default: legacy supervisors keep the single-file behaviour.
-  bool keep_partner_copies = false;
-
-  // --- Parallel recovery (ISSUE 8) ----------------------------------------
-  /// Allow multiple restart actions in flight at once, as long as their
-  /// restart groups are disjoint (sibling cells). A report whose chosen cell
-  /// strictly covers an in-flight action ABSORBS it: the stale action's span
-  /// ends (outcome=absorbed) and the covering restart re-kills its members.
-  /// Off by default: the legacy supervisor runs at most one action and lets
-  /// the failure detector re-detect anything it dropped while busy.
-  bool parallel_recovery = false;
-
-  // --- Traffic-driven on-demand recovery (ISSUE 9) ------------------------
-  /// Mirror of core::RecConfig::traffic_driven; requires parallel_recovery.
-  /// While any action is in flight, further failures are deferred instead of
-  /// restarted eagerly: touch_worker(name) — called when a client request
-  /// needs the worker — promotes its deferred restart; untouched workers
-  /// drain in the background, one per lazy_drain.
-  bool traffic_driven = false;
-  Millis lazy_drain{300};
 };
 
 struct PosixRecoveryRecord {
@@ -118,17 +88,18 @@ struct PosixRecoveryRecord {
   Millis downtime{0};  ///< failure report -> group READY
 };
 
-class PosixSupervisor {
+class PosixSupervisor : private core::ProcessControl {
  public:
   /// The tree's components must exactly match the worker names.
   PosixSupervisor(core::RestartTree tree, std::vector<WorkerSpec> workers,
                   SupervisorConfig config);
-  ~PosixSupervisor();
+  ~PosixSupervisor() override;
 
   PosixSupervisor(const PosixSupervisor&) = delete;
   PosixSupervisor& operator=(const PosixSupervisor&) = delete;
 
-  /// Spawn every worker and wait for all READYs (or startup timeouts).
+  /// Spawn every worker and wait for all READYs. A startup that hangs past
+  /// restart_deadline is reported and recovered like any other failure.
   util::Status start_all();
 
   /// Run the supervision loop for a wall-clock duration.
@@ -149,18 +120,20 @@ class PosixSupervisor {
   bool wedge_worker(const std::string& name);
 
   const std::vector<PosixRecoveryRecord>& history() const { return history_; }
-  const std::vector<std::string>& hard_failures() const { return hard_failures_; }
-  const core::RestartTree& tree() const { return tree_; }
+  const std::vector<std::string>& hard_failures() const {
+    return rec_.hard_failures();
+  }
+  const core::RestartTree& tree() const { return rec_.tree(); }
   std::uint64_t pings_sent() const { return pings_sent_; }
   std::uint64_t pongs_received() const { return pongs_received_; }
-  /// Restart attempts delayed by same-cell backoff (hardened configs).
-  std::uint64_t backoffs_applied() const { return backoffs_applied_; }
-  /// Worker startups abandoned by the startup deadline (hung/slow spawns).
-  std::uint64_t restart_timeouts() const { return restart_timeouts_; }
-  /// Restart actions currently in flight (>1 only under parallel_recovery).
-  std::size_t restarts_in_flight() const { return actions_.size(); }
-  /// In-flight actions superseded by a covering (ancestor-cell) restart.
-  std::uint64_t absorbed_restarts() const { return absorbed_restarts_; }
+  std::uint64_t backoffs_applied() const { return rec_.backoffs_applied(); }
+  /// Startups abandoned by restart_deadline: REC's timed-out actions plus
+  /// hung startups the detector reported outside any action.
+  std::uint64_t restart_timeouts() const {
+    return rec_.restart_timeouts() + startup_timeouts_;
+  }
+  std::size_t restarts_in_flight() const { return rec_.restarts_in_flight(); }
+  std::uint64_t absorbed_restarts() const { return rec_.absorbed_restarts(); }
   /// Latest memory figure a worker's HEALTH beacon reported, if any.
   std::optional<double> latest_memory_mb(const std::string& name) const;
   std::uint64_t rejuvenations() const { return rejuvenations_; }
@@ -169,27 +142,19 @@ class PosixSupervisor {
   /// Invalid checkpoint files deleted before a spawn (cold start enforced).
   std::uint64_t checkpoints_deleted() const { return checkpoints_deleted_; }
   /// Checkpoint files rewritten from the supervisor's partner copy after
-  /// the on-disk tier was lost (keep_partner_copies configs only).
+  /// the on-disk tier was lost.
   std::uint64_t partner_restores() const { return partner_restores_; }
 
-  // --- Traffic-driven on-demand recovery (ISSUE 9) ------------------------
-  /// What touch_worker found for the touched worker.
-  enum class TouchResult {
-    kIdle,        ///< nothing deferred or in flight for this worker
-    kRestarting,  ///< an in-flight action already covers it
-    kPromoted,    ///< a deferred failure was promoted (now or at next drain)
-    kParked,      ///< hard-failed: no restart, callers should reject
-  };
-  /// Client-request touch (traffic_driven configs): promote `name`'s
-  /// deferred restart. No-op (kIdle) otherwise.
-  TouchResult touch_worker(const std::string& name);
-  std::uint64_t touch_promotions() const { return touch_promotions_; }
-  std::uint64_t lazy_drains() const { return lazy_drains_; }
-  /// Failures currently deferred by traffic-driven lazy recovery.
-  std::size_t deferred_count() const { return deferred_.size(); }
+  // --- Traffic-driven on-demand recovery ----------------------------------
+  /// Client-request touch: Recoverer::touch on `name`.
+  core::TouchResult touch_worker(const std::string& name);
+  std::uint64_t touch_promotions() const { return rec_.touch_promotions(); }
+  std::uint64_t lazy_drains() const { return rec_.lazy_drains(); }
+  /// Reported failures no restart action has taken up yet (queued in REC).
+  std::size_t queued_failures() const { return reported_.size(); }
 
  private:
-  enum class WorkerState { kDown, kStarting, kUp };
+  enum class WorkerState { kStarting, kUp, kDown };
 
   struct Worker {
     WorkerSpec spec;
@@ -202,106 +167,56 @@ class PosixSupervisor {
     std::optional<double> memory_mb;  // latest HEALTH beacon figure
     Clock::time_point last_rejuvenation{};
     std::uint64_t restart_span = 0;  // open obs span: spawn -> READY
-    /// Partner replica (ISSUE 7): the last checkpoint payload that passed
-    /// the spawn-time gate, held supervisor-side on the worker's behalf.
+    /// Partner replica: the last checkpoint payload that passed the
+    /// spawn-time gate, held supervisor-side on the worker's behalf.
     std::optional<std::string> replica_payload;
   };
 
-  struct PendingRestart {
-    std::string reported_worker;
-    core::NodeId node;
-    std::vector<std::string> group;
-    int escalation_level = 0;
-    bool rejuvenation = false;  // proactive; exempt from the attempt budget
-    Clock::time_point reported_at;
-    /// Backoff pacing: the group is spawned only once this time arrives;
-    /// until then the action is in flight (group masked) but not started.
-    Clock::time_point spawn_at{};
-    bool spawned = false;
-    std::uint64_t trace_span = 0;  // open obs span for the whole action
-  };
-  struct LastRestart {
-    core::NodeId node;
-    std::vector<std::string> group;
-    int escalation_level = 0;
-    Clock::time_point complete_at;
-  };
-  /// Uncured root restarts per reported worker (see core::Recoverer: an
-  /// unrelated failure right after a full restart must not park an innocent
-  /// worker).
-  struct RootHistory {
-    int count = 0;
-    Clock::time_point last{};
-  };
-  /// Same-cell restart pacing (mirrors core::Recoverer::CellBackoff).
-  struct CellBackoff {
-    int streak = 0;
-    Clock::time_point last{};
+  /// A restart_group call waiting for its members' READY lines.
+  struct PendingGroup {
+    std::vector<std::string> members;
+    std::function<void()> on_complete;
   };
 
-  /// A failure deferred by traffic-driven lazy recovery, waiting for a
-  /// client touch or the background drain.
-  struct DeferredFailure {
-    std::string name;
-    bool touched = false;
-  };
+  // --- core::ProcessControl -----------------------------------------------
+  std::vector<std::string> component_names() const override;
+  void restart_group(const std::vector<std::string>& names,
+                     std::function<void()> on_complete) override;
+  bool restart_in_progress() const override { return !groups_.empty(); }
+  std::vector<std::string> restarting_now() const override;
 
   void pump(Millis max_wait);
+  /// Advance the timer heap to wall-clock now (firing due REC timers and
+  /// link deliveries) and mirror new REC history records.
+  void sync();
   void drain_worker(Worker& worker);
-  void send_pings();
-  void check_deadlines();
+  void complete_groups();
+  void detect();
+  void report(Worker& worker, const char* cause);
+  void on_link_message(const msg::Message& message);
   void check_health_policy();
-  void on_failure(const std::string& name);
-  /// The decision tail of on_failure (escalation, budget, oracle choose,
-  /// begin_restart); promotion paths call it directly so a promoted failure
-  /// cannot be re-deferred.
-  void act_on_failure(const std::string& name);
-  /// Dispatch deferred failures: touched ones as soon as no in-flight
-  /// conflict remains, untouched ones one per lazy_drain interval.
-  void maybe_drain_deferred();
-  /// Restarting `name`'s cell would overlap an in-flight action's cell.
-  bool defer_conflicts(const std::string& name) const;
-  void begin_restart(PendingRestart restart);
-  /// Whether `name` belongs to any in-flight action's group.
-  bool masked(const std::string& name) const;
-  /// End (outcome=absorbed) every in-flight action whose cell is a strict
-  /// descendant of `node` — the covering restart takes over its members.
-  void absorb_conflicting(core::NodeId node);
-  /// Spawn any in-flight action's group once its backoff delay has elapsed.
-  void maybe_spawn_pending();
-  void maybe_finish_restarts();
   void spawn_worker(Worker& worker);
-  void park(const std::string& name, const std::string& reason);
 
-  core::RestartTree tree_;
-  core::HeuristicOracle oracle_;
   SupervisorConfig config_;
+  sim::Simulator sim_{0};  // timer heap only
+  bus::DedicatedLink link_;
+  core::HeuristicOracle oracle_;
   std::map<std::string, Worker> workers_;
-  /// In-flight restart actions by id. At most one entry unless
-  /// parallel_recovery; groups of coexisting actions are always disjoint.
-  std::map<std::uint64_t, PendingRestart> actions_;
-  std::uint64_t next_action_ = 1;
-  std::optional<LastRestart> last_;
-  std::map<std::string, RootHistory> root_history_;
-  std::map<core::NodeId, CellBackoff> backoff_;
+  std::vector<PendingGroup> groups_;
+  /// Detector view of REC's mask: workers it must not report.
+  std::set<std::string> masked_;
+  /// Reported workers REC has not masked (taken up) yet.
+  std::set<std::string> reported_;
   std::vector<PosixRecoveryRecord> history_;
-  std::vector<std::string> hard_failures_;
-  /// Reactive restart attempts in the chain currently being worked.
-  int chain_attempts_ = 0;
-  std::uint64_t seq_ = 1;
+  std::uint64_t seq_ = 1;  // pings and link messages
   std::uint64_t pings_sent_ = 0;
   std::uint64_t pongs_received_ = 0;
   std::uint64_t rejuvenations_ = 0;
-  std::uint64_t backoffs_applied_ = 0;
-  std::uint64_t restart_timeouts_ = 0;
-  std::uint64_t absorbed_restarts_ = 0;
+  std::uint64_t startup_timeouts_ = 0;
   std::uint64_t checkpoints_validated_ = 0;
   std::uint64_t checkpoints_deleted_ = 0;
   std::uint64_t partner_restores_ = 0;
-  std::deque<DeferredFailure> deferred_;
-  Clock::time_point next_lazy_{};
-  std::uint64_t touch_promotions_ = 0;
-  std::uint64_t lazy_drains_ = 0;
+  core::Recoverer rec_;  // last: its constructor takes the members above
 };
 
 }  // namespace mercury::posix

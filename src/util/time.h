@@ -5,6 +5,7 @@
 // a duration where a point is expected) at compile time.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <compare>
 #include <cstdint>
@@ -18,6 +19,11 @@ namespace mercury::util {
 class Duration {
  public:
   constexpr Duration() = default;
+  /// Implicit from any std::chrono duration, so wall-clock configs (the
+  /// POSIX backend's milliseconds) set the same fields as simulated ones.
+  template <typename Rep, typename Period>
+  constexpr Duration(std::chrono::duration<Rep, Period> d)  // NOLINT(google-explicit-constructor)
+      : secs_(std::chrono::duration<double>(d).count()) {}
   constexpr static Duration seconds(double s) { return Duration{s}; }
   constexpr static Duration millis(double ms) { return Duration{ms / 1e3}; }
   constexpr static Duration minutes(double m) { return Duration{m * 60.0}; }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/availability.h"
 #include "core/mercury_trees.h"
@@ -48,6 +49,14 @@ struct Case {
   bool joint;
   double p_low;
   double paper_value;
+
+  // Names each instantiation after its paper cell (same scheme as the
+  // simulated Table4Sweep). Without it gtest prints the raw struct bytes,
+  // which embed the `component` pointer and padding and so change per run.
+  friend std::ostream& operator<<(std::ostream& os, const Case& c) {
+    return os << "tree" << to_string(c.tree) << "_"
+              << (c.p_low > 0.0 ? "faulty" : "perfect") << "_" << c.component;
+  }
 };
 
 class AnalyticVsPaper : public ::testing::TestWithParam<Case> {};

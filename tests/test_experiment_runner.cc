@@ -160,30 +160,38 @@ std::vector<station::TrialSpec> sample_specs() {
   return specs;
 }
 
-/// Results + merged trace of the sample batch under a given job count,
-/// serialized to one comparable string.
-std::string batch_fingerprint(const char* jobs) {
+/// Merged trace and result line of the sample batch at a job count.
+struct BatchOutput {
+  std::string trace;
+  std::string results;
+};
+
+BatchOutput run_sample_batch(const char* jobs) {
   JobsEnv env(jobs);
   obs::TraceRecorder recorder;
-  std::ostringstream out;
+  std::ostringstream results;
   {
     obs::ScopedRecorder scope(recorder);
     for (const station::TrialResult& result :
          station::run_trial_batch(sample_specs())) {
-      out << result.recovery.to_seconds() << "," << result.restarts << ","
-          << result.escalations << ";";
+      results << result.recovery.to_seconds() << "," << result.restarts << ","
+              << result.escalations << ";";
     }
   }
-  out << "\n";
-  recorder.write_jsonl(out);
-  return out.str();
+  results << "\n";
+  std::ostringstream trace;
+  recorder.write_jsonl(trace);
+  return {trace.str(), results.str()};
 }
 
 TEST(ExperimentRunner, BatchByteIdenticalAcrossJobCounts) {
-  const std::string serial = batch_fingerprint("1");
-  ASSERT_NE(serial.find("rec.restart"), std::string::npos);
-  EXPECT_EQ(serial, batch_fingerprint("2"));
-  EXPECT_EQ(serial, batch_fingerprint("8"));
+  const BatchOutput serial = run_sample_batch("1");
+  ASSERT_NE(serial.trace.find("rec.restart"), std::string::npos);
+  for (const char* jobs : {"2", "8"}) {
+    const BatchOutput parallel = run_sample_batch(jobs);
+    EXPECT_EQ(serial.trace, parallel.trace) << "MERCURY_JOBS=" << jobs;
+    EXPECT_EQ(serial.results, parallel.results) << "MERCURY_JOBS=" << jobs;
+  }
 }
 
 /// Whole file as a string; empty on error.
@@ -202,32 +210,28 @@ TEST(ExperimentRunner, GoldenBatchByteIdenticalToCommittedFixture) {
   // (at, seq) pop order, routing, span/run rebasing in the merge — across
   // every hot-path rewrite, present and future. If a change legitimately
   // alters the trace (new events, schema change), regenerate the fixtures
-  // with a serial run and say so in the PR.
+  // with a serial run (MERCURY_REGEN_GOLDEN=1) and say so in the PR.
   const std::string data_dir = MERCURY_TEST_DATA_DIR;
-  const std::string golden_trace =
-      read_file(data_dir + "/golden_batch.trace.jsonl");
-  const std::string golden_results =
-      read_file(data_dir + "/golden_batch.results.txt");
-  ASSERT_FALSE(golden_trace.empty());
-  ASSERT_FALSE(golden_results.empty());
+  const std::string trace_path = data_dir + "/golden_batch.trace.jsonl";
+  const std::string results_path = data_dir + "/golden_batch.results.txt";
+  if (std::getenv("MERCURY_REGEN_GOLDEN") != nullptr) {
+    const BatchOutput serial = run_sample_batch("1");
+    std::ofstream(trace_path, std::ios::binary) << serial.trace;
+    std::ofstream(results_path, std::ios::binary) << serial.results;
+  }
+  const std::string regenerate =
+      " is missing or empty; regenerate both fixtures with a serial run: "
+      "MERCURY_REGEN_GOLDEN=1 build/tests/test_experiment_runner "
+      "--gtest_filter=ExperimentRunner.GoldenBatchByteIdenticalToCommittedFixture";
+  const std::string golden_trace = read_file(trace_path);
+  const std::string golden_results = read_file(results_path);
+  ASSERT_FALSE(golden_trace.empty()) << trace_path << regenerate;
+  ASSERT_FALSE(golden_results.empty()) << results_path << regenerate;
 
   for (const char* jobs : {"1", "2", "8"}) {
-    JobsEnv env(jobs);
-    obs::TraceRecorder recorder;
-    std::ostringstream results;
-    {
-      obs::ScopedRecorder scope(recorder);
-      for (const station::TrialResult& result :
-           station::run_trial_batch(sample_specs())) {
-        results << result.recovery.to_seconds() << "," << result.restarts
-                << "," << result.escalations << ";";
-      }
-    }
-    results << "\n";
-    std::ostringstream trace;
-    recorder.write_jsonl(trace);
-    EXPECT_EQ(trace.str(), golden_trace) << "MERCURY_JOBS=" << jobs;
-    EXPECT_EQ(results.str(), golden_results) << "MERCURY_JOBS=" << jobs;
+    const BatchOutput batch = run_sample_batch(jobs);
+    EXPECT_EQ(batch.trace, golden_trace) << "MERCURY_JOBS=" << jobs;
+    EXPECT_EQ(batch.results, golden_results) << "MERCURY_JOBS=" << jobs;
   }
 }
 

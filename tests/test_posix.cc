@@ -5,14 +5,18 @@
 // ping period 60 ms.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/restart_tree.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
 #include "posix/checkpoint_file.h"
 #include "posix/child_process.h"
 #include "posix/supervisor.h"
@@ -105,7 +109,6 @@ WorkerSpec quick_worker(const std::string& name, int startup_ms,
     spec.argv.push_back("--wedge-after");
     spec.argv.push_back(std::to_string(wedge_after));
   }
-  spec.startup_timeout = Millis{2000};
   return spec;
 }
 
@@ -246,11 +249,12 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
   WorkerSpec hang = quick_worker("c", 30);
   hang.argv.push_back("--hang-start-once");
   hang.argv.push_back(sentinel);
-  hang.startup_timeout = Millis{300};
+  SupervisorConfig config = quick_config();
+  config.restart_deadline = Millis{300};
 
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
-      {quick_worker("a", 30), quick_worker("b", 30), hang}, quick_config());
+      {quick_worker("a", 30), quick_worker("b", 30), hang}, config);
   // start_all itself rides the hardened path: the hung spawn times out at
   // 300 ms, escalates through the oracle, and the second spawn succeeds.
   ASSERT_TRUE(supervisor.start_all().ok());
@@ -332,7 +336,6 @@ TEST(PosixSupervisor, WarmRestartUsesCheckpointAndShortensDowntime) {
   slow.name = "c";
   slow.argv = {kWorker,  "--name", "c", "--startup-ms", "600",
                "--checkpoint-file", file, "--warm-startup-ms", "50"};
-  slow.startup_timeout = Millis{3000};
   slow.checkpoint_file = file;
 
   PosixSupervisor supervisor(two_leaf_tree(), {quick_worker("a", 30), slow},
@@ -540,6 +543,37 @@ TEST(CheckpointFile, V1FilesNeverValidateUnderV2) {
   std::remove(file.c_str());
 }
 
+TEST(CheckpointFile, WriteReplacesTheFileAtomically) {
+  // The write goes to a temp file renamed over the old one: a reader that
+  // opened the old file keeps seeing its complete line (an in-place
+  // truncating rewrite would hand it an empty file), and no temp is left.
+  const std::string dir = ::testing::TempDir() + "mercury_ckpt_atomic_" +
+                          std::to_string(getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const std::string file = dir + "/state";
+  ASSERT_TRUE(ckpt::write_checkpoint_file(file, "ses", "old-state"));
+  std::FILE* reader = std::fopen(file.c_str(), "r");
+  ASSERT_NE(reader, nullptr);
+
+  ASSERT_TRUE(ckpt::write_checkpoint_file(file, "ses", "new-state"));
+  char buffer[512] = {};
+  ASSERT_NE(std::fgets(buffer, sizeof(buffer), reader), nullptr);
+  std::fclose(reader);
+  EXPECT_NE(std::string(buffer).find(" old-state "), std::string::npos);
+
+  ckpt::CheckpointFile checkpoint;
+  ASSERT_EQ(ckpt::read_checkpoint_file(file, "ses", &checkpoint),
+            ckpt::FileState::kValid);
+  EXPECT_EQ(checkpoint.payload, "new-state");
+  std::remove(file.c_str());
+  // rmdir fails on a non-empty directory: nothing but the state file was
+  // ever left in it.
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
+
+  // An unwritable destination fails cleanly.
+  EXPECT_FALSE(ckpt::write_checkpoint_file("/no/such/dir/state", "ses", "x"));
+}
+
 TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
   // ISSUE 7's L1 mirror on real processes: the supervisor keeps a replica
   // of the last validated payload; when the on-disk file vanishes, the
@@ -553,21 +587,22 @@ TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
   slow.name = "c";
   slow.argv = {kWorker,  "--name", "c", "--startup-ms", "600",
                "--checkpoint-file", file, "--warm-startup-ms", "50"};
-  slow.startup_timeout = Millis{3000};
   slow.checkpoint_file = file;
-  SupervisorConfig config = quick_config();
-  config.keep_partner_copies = true;
 
   PosixSupervisor supervisor(two_leaf_tree(), {quick_worker("a", 30), slow},
-                             config);
+                             quick_config());
   ASSERT_TRUE(supervisor.start_all().ok());  // cold; worker writes the file
-  // The worker writes the file just after READY; wait for it so the kill
-  // cannot race the write.
-  const auto file_valid = [&] {
-    return ckpt::read_checkpoint_file(file, "c", nullptr) ==
-           ckpt::FileState::kValid;
+  // The worker writes the file just after READY; wait for the payload of
+  // the expected incarnation so the kill cannot race the write.
+  const auto file_holds = [&](const std::string& payload) {
+    return [&, payload] {
+      ckpt::CheckpointFile checkpoint;
+      return ckpt::read_checkpoint_file(file, "c", &checkpoint) ==
+                 ckpt::FileState::kValid &&
+             checkpoint.payload == payload;
+    };
   };
-  ASSERT_TRUE(supervisor.run_until(file_valid, Millis{2000}));
+  ASSERT_TRUE(supervisor.run_until(file_holds("rebuilt-state"), Millis{2000}));
 
   // First kill: the gate validates the file and captures the replica.
   supervisor.kill_worker("c");
@@ -580,7 +615,7 @@ TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
   // Lose the on-disk tier entirely, then fail the worker again: the replica
   // must restore the file and keep the restart warm. Wait for the warm
   // incarnation's own rewrite first, so the remove cannot be undone by it.
-  ASSERT_TRUE(supervisor.run_until(file_valid, Millis{2000}));
+  ASSERT_TRUE(supervisor.run_until(file_holds("reloaded-state"), Millis{2000}));
   std::remove(file.c_str());
   supervisor.kill_worker("c");
   ASSERT_TRUE(supervisor.run_until(
@@ -622,11 +657,57 @@ TEST(PosixSupervisor, GarbledProtocolLinesNeverKillTheSupervisor) {
   EXPECT_GT(supervisor.pongs_received(), 0u);
 }
 
+TEST(PosixSupervisor, RecordedRecoveryIsInvariantCleanOnOneClock) {
+  // REC's timer heap is advanced to the backend's wall clock before every
+  // input, so REC's events and the supervisor's share one timeline: the
+  // trace passes the invariant checker, and REC's rec.restart action span
+  // encloses the spawn->READY span of the worker it restarted.
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
+  PosixSupervisor supervisor(
+      pair_and_leaf_tree(),
+      {quick_worker("a", 40), quick_worker("b", 40), quick_worker("c", 70)},
+      quick_config());
+  ASSERT_TRUE(supervisor.start_all().ok());
+  supervisor.kill_worker("c");
+  ASSERT_TRUE(supervisor.run_until(
+      [&] { return supervisor.all_up() && !supervisor.history().empty(); },
+      Millis{3000}));
+
+  const std::vector<obs::TraceIssue> issues = obs::check_trace(recorder.events());
+  EXPECT_TRUE(issues.empty()) << obs::describe(issues);
+
+  // Begin/end times per span id; the action and the last spawn of c.
+  std::map<std::uint64_t, double> begun;
+  std::map<std::uint64_t, double> ended;
+  std::uint64_t action = 0;
+  std::uint64_t spawn = 0;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.kind == obs::EventKind::kEnd) ended[event.span] = event.t;
+    if (event.kind != obs::EventKind::kBegin) continue;
+    begun[event.span] = event.t;
+    if (event.name == "rec.restart") {
+      EXPECT_EQ(event.track, "rec");
+      EXPECT_EQ(event.arg_or("cell"), "R_c");
+      EXPECT_EQ(event.arg_or("group"), "c");
+      action = event.span;
+    } else if (event.name == "restart:c") {
+      spawn = event.span;
+    }
+  }
+  ASSERT_NE(action, 0u);
+  ASSERT_NE(spawn, 0u);
+  ASSERT_TRUE(ended.contains(action));
+  ASSERT_TRUE(ended.contains(spawn));
+  EXPECT_LE(begun[action], begun[spawn]);
+  EXPECT_LE(ended[spawn], ended[action]);
+}
+
 // --- Concurrent restart dispatch (ISSUE 8) -----------------------------------
 
 TEST(PosixSupervisor, ParallelRecoveryRunsDisjointCellsConcurrently) {
   SupervisorConfig config = quick_config();
-  config.parallel_recovery = true;
+  config.dispatch = core::DispatchMode::kDag;
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 400), quick_worker("b", 400), quick_worker("c", 400)},
@@ -656,9 +737,9 @@ TEST(PosixSupervisor, ParallelRecoveryRunsDisjointCellsConcurrently) {
 }
 
 TEST(PosixSupervisor, SerialDefaultNeverOverlapsRestartActions) {
-  // parallel_recovery stays off: the same double failure recovers one action
-  // at a time — the legacy busy-gate drops c's report while {a,b} runs and
-  // the next ping round re-detects it afterwards.
+  // Serial dispatch (the default): the same double failure recovers one
+  // action at a time — REC queues c's report while {a,b} runs and dispatches
+  // it once that action completes.
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 400), quick_worker("b", 400), quick_worker("c", 400)},
@@ -679,12 +760,13 @@ TEST(PosixSupervisor, SerialDefaultNeverOverlapsRestartActions) {
 }
 
 TEST(PosixSupervisor, EscalationSupersedesOverlappingConcurrentRestart) {
-  // The ISSUE 8 supersede scenario on real processes: two disjoint actions
-  // go in flight — {a,b} with slow 600 ms startups and {c} whose respawn
-  // hangs and is aborted by its 300 ms startup deadline. c's chain escalates
-  // to the root, whose group strictly covers the still-running {a,b} action:
-  // the escalated restart must absorb it and re-kill its members, not queue
-  // behind it or deadlock.
+  // The supersede scenario on real processes, staged around the single
+  // 1000 ms restart deadline. c dies first and its respawn hangs; 600 ms
+  // later a dies, so {a,b} (600 ms startups) dispatches ~300 ms before c's
+  // deadline and is still starting ~200+ ms after it. The deadline escalates
+  // c's chain to the root, whose group strictly covers the in-flight {a,b}
+  // action: the escalated restart must absorb it and re-kill its members,
+  // not queue behind it or deadlock.
   const std::string sentinel =
       "/tmp/mercury_hang_restart_" + std::to_string(getpid());
   {
@@ -695,24 +777,25 @@ TEST(PosixSupervisor, EscalationSupersedesOverlappingConcurrentRestart) {
     std::fclose(f);
   }
 
-  WorkerSpec slow_a = quick_worker("a", 600);
-  slow_a.startup_timeout = Millis{3000};
-  WorkerSpec slow_b = quick_worker("b", 600);
-  slow_b.startup_timeout = Millis{3000};
   WorkerSpec hang = quick_worker("c", 30);
   hang.argv.push_back("--hang-start-once");
   hang.argv.push_back(sentinel);
-  hang.startup_timeout = Millis{300};
 
   SupervisorConfig config = quick_config();
-  config.parallel_recovery = true;
-  PosixSupervisor supervisor(pair_and_leaf_tree(), {slow_a, slow_b, hang},
-                             config);
+  config.dispatch = core::DispatchMode::kDag;
+  config.restart_deadline = Millis{1000};
+  PosixSupervisor supervisor(
+      pair_and_leaf_tree(),
+      {quick_worker("a", 600), quick_worker("b", 600), hang}, config);
   ASSERT_TRUE(supervisor.start_all().ok());
 
   std::remove(sentinel.c_str());
-  supervisor.kill_worker("a");
   supervisor.kill_worker("c");
+  ASSERT_TRUE(supervisor.run_until(
+      [&] { return supervisor.restarts_in_flight() >= 1; }, Millis{2000}));
+  supervisor.run_for(Millis{600});
+  ASSERT_EQ(supervisor.restart_timeouts(), 0u);
+  supervisor.kill_worker("a");
 
   std::size_t peak = 0;
   ASSERT_TRUE(supervisor.run_until(
@@ -744,15 +827,15 @@ TEST(PosixSupervisor, EscalationSupersedesOverlappingConcurrentRestart) {
 
 TEST(PosixSupervisor, TrafficDrivenDefersUntilTouched) {
   SupervisorConfig config = quick_config();
-  config.parallel_recovery = true;
+  config.dispatch = core::DispatchMode::kOnDemand;
   config.traffic_driven = true;
-  config.lazy_drain = Millis{60000};  // keep the background drain out
+  config.lazy_drain_interval = Millis{60000};  // keep the background drain out
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 400), quick_worker("b", 400), quick_worker("c", 400)},
       config);
   ASSERT_TRUE(supervisor.start_all().ok());
-  EXPECT_EQ(supervisor.touch_worker("a"), PosixSupervisor::TouchResult::kIdle);
+  EXPECT_EQ(supervisor.touch_worker("a"), core::TouchResult::kIdle);
 
   // c fails first and its restart goes in flight; a's failure lands while
   // that action runs and must defer instead of dispatching eagerly.
@@ -760,18 +843,18 @@ TEST(PosixSupervisor, TrafficDrivenDefersUntilTouched) {
   ASSERT_TRUE(supervisor.run_until(
       [&] { return supervisor.restarts_in_flight() >= 1; }, Millis{2000}));
   EXPECT_EQ(supervisor.touch_worker("c"),
-            PosixSupervisor::TouchResult::kRestarting);
+            core::TouchResult::kRestarting);
   supervisor.kill_worker("a");
   ASSERT_TRUE(supervisor.run_until(
-      [&] { return supervisor.deferred_count() >= 1; }, Millis{2000}));
+      [&] { return supervisor.queued_failures() >= 1; }, Millis{2000}));
   EXPECT_EQ(supervisor.restarts_in_flight(), 1u);
 
   // A client request touches a: exactly that deferred failure is promoted,
   // and with R_[a,b] disjoint from the in-flight R_c it dispatches now.
   EXPECT_EQ(supervisor.touch_worker("a"),
-            PosixSupervisor::TouchResult::kPromoted);
+            core::TouchResult::kPromoted);
   EXPECT_EQ(supervisor.touch_promotions(), 1u);
-  EXPECT_EQ(supervisor.deferred_count(), 0u);
+  EXPECT_EQ(supervisor.queued_failures(), 0u);
   ASSERT_TRUE(supervisor.run_until(
       [&] { return supervisor.all_up() && supervisor.history().size() >= 2; },
       Millis{6000}));
@@ -781,9 +864,9 @@ TEST(PosixSupervisor, TrafficDrivenDefersUntilTouched) {
 
 TEST(PosixSupervisor, UntouchedDeferredFailureDrainsLazily) {
   SupervisorConfig config = quick_config();
-  config.parallel_recovery = true;
+  config.dispatch = core::DispatchMode::kOnDemand;
   config.traffic_driven = true;
-  config.lazy_drain = Millis{200};
+  config.lazy_drain_interval = Millis{200};
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 400), quick_worker("b", 400), quick_worker("c", 400)},
@@ -795,7 +878,7 @@ TEST(PosixSupervisor, UntouchedDeferredFailureDrainsLazily) {
       [&] { return supervisor.restarts_in_flight() >= 1; }, Millis{2000}));
   supervisor.kill_worker("a");
   ASSERT_TRUE(supervisor.run_until(
-      [&] { return supervisor.deferred_count() >= 1; }, Millis{2000}));
+      [&] { return supervisor.queued_failures() >= 1; }, Millis{2000}));
   // No request ever touches a: the background drain must still restart it.
   ASSERT_TRUE(supervisor.run_until(
       [&] { return supervisor.all_up() && supervisor.history().size() >= 2; },
@@ -816,7 +899,7 @@ TEST(PosixSupervisor, TouchOfParkedWorkerSignalsRejection) {
   tree.attach_component(c_cell, "c");
 
   SupervisorConfig config = quick_config();
-  config.parallel_recovery = true;
+  config.dispatch = core::DispatchMode::kOnDemand;
   config.traffic_driven = true;
   config.max_root_restarts = 1;
   PosixSupervisor supervisor(
@@ -829,7 +912,7 @@ TEST(PosixSupervisor, TouchOfParkedWorkerSignalsRejection) {
 
   const auto actions = supervisor.history().size();
   EXPECT_EQ(supervisor.touch_worker("c"),
-            PosixSupervisor::TouchResult::kParked);
+            core::TouchResult::kParked);
   supervisor.run_for(Millis{300});
   EXPECT_EQ(supervisor.history().size(), actions);
   EXPECT_TRUE(supervisor.worker_up("a"));
