@@ -15,7 +15,7 @@ namespace {
 void trace_cured(const ActiveFailure& failure, util::TimePoint now) {
   obs::instant(now, "fault", "fault.cured", "board",
                {{"manifest", failure.spec.manifest},
-                {"id", std::to_string(failure.id)},
+                {"id", failure.id},
                 {"kind", failure.spec.kind}});
   obs::incr("faults.cured");
   obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
@@ -60,11 +60,13 @@ FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
   failure.spec = std::move(spec);
   failure.onset = now;
   active_.push_back(failure);
-  obs::instant(now, "fault", "fault.manifest", "board",
-               {{"manifest", active_.back().spec.manifest},
-                {"cure", util::join(active_.back().spec.cure_set, ",")},
-                {"kind", active_.back().spec.kind},
-                {"id", std::to_string(failure.id)}});
+  if (obs::enabled()) {
+    obs::instant(now, "fault", "fault.manifest", "board",
+                 {{"manifest", active_.back().spec.manifest},
+                  {"cure", util::join(active_.back().spec.cure_set, ",")},
+                  {"kind", active_.back().spec.kind},
+                  {"id", failure.id}});
+  }
   obs::incr("faults.injected");
   for (const auto& listener : inject_listeners_) listener(active_.back());
   return failure.id;

@@ -108,7 +108,7 @@ void FailureDetector::on_ping_timeout(TargetState& target) {
   ++target.consecutive_misses;
   obs::instant(sim_.now(), "detect", "fd.suspect", "fd",
                {{"component", target.name},
-                {"misses", std::to_string(target.consecutive_misses)}});
+                {"misses", target.consecutive_misses}});
   obs::incr("fd.suspicions");
   if (target.consecutive_misses < config_.misses_before_report) return;
 

@@ -14,7 +14,7 @@ NodeId Oracle::traced(const OracleQuery& query, NodeId chosen) const {
         {{"component", query.failed_component},
          {"cell", query.tree->cell(chosen).label},
          {"oracle", name()},
-         {"escalation", std::to_string(query.escalation_level)}});
+         {"escalation", query.escalation_level}});
     obs::recorder()->incr("oracle.choices");
   }
   return chosen;

@@ -237,7 +237,7 @@ void Recoverer::dispatch_report(const std::string& component) {
     restart.chain_attempts = recent->chain_attempts;
     ++escalations_;
     obs::instant(sim_.now(), "recover", "rec.escalate", "rec",
-                 {{"component", component}, {"level", "1"}, {"from", "soft"}});
+                 {{"component", component}, {"level", 1}, {"from", "soft"}});
     obs::incr("rec.escalations");
     OracleQuery query;
     query.tree = &tree_;
@@ -255,7 +255,7 @@ void Recoverer::dispatch_report(const std::string& component) {
     ++escalations_;
     obs::instant(sim_.now(), "recover", "rec.escalate", "rec",
                  {{"component", component},
-                  {"level", std::to_string(restart.escalation_level)}});
+                  {"level", restart.escalation_level}});
     obs::incr("rec.escalations");
     if (!recent->feedback_sent) {
       obs::instant(sim_.now(), "oracle", "oracle.feedback", "rec",
@@ -341,7 +341,7 @@ bool Recoverer::note_root_restart_then_maybe_park(
       << " full restarts; giving up";
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", component},
-                {"root_restarts", std::to_string(history.count)}});
+                {"root_restarts", history.count}});
   obs::incr("rec.hard_failures");
   park(component, "root-restarts-exhausted", chain_touched);
   return true;
@@ -370,10 +370,12 @@ void Recoverer::park(const std::string& component, const std::string& reason,
   for (const auto& name : masked_) {
     if (!parked_.contains(name) && !live.contains(name)) to_unmask.push_back(name);
   }
-  obs::instant(sim_.now(), "recover", "rec.parked", "rec",
-               {{"component", component},
-                {"reason", reason},
-                {"masked", util::join(to_mask, ",")}});
+  if (obs::enabled()) {
+    obs::instant(sim_.now(), "recover", "rec.parked", "rec",
+                 {{"component", component},
+                  {"reason", reason},
+                  {"masked", util::join(to_mask, ",")}});
+  }
   obs::incr("rec.parked");
   LogLine(LogLevel::kError, sim_.now(), "rec")
       << "parked " << util::join(to_mask, ",") << " (" << reason
@@ -398,7 +400,7 @@ bool Recoverer::budget_exhausted_then_park(const Action& restart) {
       << " restart attempts; giving up";
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", restart.reported_component},
-                {"attempts", std::to_string(restart.chain_attempts)}});
+                {"attempts", restart.chain_attempts}});
   obs::incr("rec.hard_failures");
   park(restart.reported_component, "attempt-budget-exhausted",
        &restart.chain_touched);
@@ -503,7 +505,7 @@ void Recoverer::execute(Action restart) {
     obs::instant(sim_.now(), "recover", "rec.backoff", "rec",
                  {{"component", restart.reported_component},
                   {"cell", tree_.cell(restart.node).label},
-                  {"delay_s", util::format_fixed(delay.to_seconds(), 3)}});
+                  {"delay_s", obs::Fixed{delay.to_seconds(), 3}}});
     obs::incr("rec.backoffs");
     LogLine(LogLevel::kInfo, sim_.now(), "rec")
         << "backing off " << util::format_fixed(delay.to_seconds(), 3)
@@ -569,13 +571,15 @@ void Recoverer::dispatch(std::uint64_t action_id) {
               ? " [escalation level " + std::to_string(restart.escalation_level) + "]"
               : "");
 
-  restart.trace_span = obs::begin_span(
-      sim_.now(), "recover", "rec.restart", "rec",
-      {{"component", restart.reported_component},
-       {"cell", tree_.cell(restart.node).label},
-       {"group", util::join(restart.components, ",")},
-       {"escalation", std::to_string(restart.escalation_level)},
-       {"planned", restart.planned ? "1" : "0"}});
+  restart.trace_span =
+      obs::enabled()
+          ? obs::begin_span(sim_.now(), "recover", "rec.restart", "rec",
+                            {{"component", restart.reported_component},
+                             {"cell", tree_.cell(restart.node).label},
+                             {"group", util::join(restart.components, ",")},
+                             {"escalation", restart.escalation_level},
+                             {"planned", restart.planned ? "1" : "0"}})
+          : 0;
   send_mask(restart.components, true);
 
   if (config_.backoff_base > Duration::zero()) {
@@ -606,7 +610,7 @@ void Recoverer::on_restart_timeout(std::uint64_t action_id) {
   obs::instant(sim_.now(), "restart", "restart.timeout", "rec",
                {{"component", failed.reported_component},
                 {"cell", tree_.cell(failed.node).label},
-                {"escalation", std::to_string(failed.escalation_level)}});
+                {"escalation", failed.escalation_level}});
   obs::incr("rec.restart_timeouts");
   LogLine(LogLevel::kWarn, sim_.now(), "rec")
       << "restart of cell " << tree_.cell(failed.node).label << " for "
@@ -636,7 +640,7 @@ void Recoverer::on_restart_timeout(std::uint64_t action_id) {
   ++escalations_;
   obs::instant(sim_.now(), "recover", "rec.escalate", "rec",
                {{"component", failed.reported_component},
-                {"level", std::to_string(retry.escalation_level)},
+                {"level", retry.escalation_level},
                 {"from", "timeout"}});
   obs::incr("rec.escalations");
 
@@ -672,7 +676,7 @@ void Recoverer::on_restart_complete(std::uint64_t action_id) {
 
   obs::end_span(sim_.now(), finished.trace_span);
   obs::incr(finished.soft ? "rec.soft_completed" : "rec.restarts");
-  obs::incr("restarts.cell." + tree_.cell(finished.node).label);
+  if (obs::enabled()) obs::incr("restarts.cell." + tree_.cell(finished.node).label);
   obs::observe("recovery.action_seconds",
                (sim_.now() - finished.report_time).to_seconds());
 
@@ -834,11 +838,12 @@ void Recoverer::send_mask(const std::vector<std::string>& components, bool mask)
       masked_.erase(name);
     }
   }
+  const std::string joined = util::join(effective, ",");
   obs::instant(sim_.now(), "recover", mask ? "rec.mask" : "rec.unmask", "rec",
-               {{"components", util::join(effective, ",")}});
+               {{"components", joined}});
   msg::Message command = msg::make_command(config_.rec_name, config_.fd_name,
                                            seq_++, mask ? "mask" : "unmask");
-  command.body.set_attr("components", util::join(effective, ","));
+  command.body.set_attr("components", joined);
   link_.send(command);
 }
 

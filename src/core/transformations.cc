@@ -20,7 +20,7 @@ void trace_transform(const std::string& op, const std::string& target,
   obs::instant(util::TimePoint::origin(), "tree", "tree.transform", "tree",
                {{"op", op},
                 {"target", target},
-                {"cells", std::to_string(tree.size())}});
+                {"cells", tree.size()}});
   obs::incr("tree.transforms");
 }
 

@@ -1,6 +1,6 @@
 #include "obs/phases.h"
 
-#include <charconv>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -13,30 +13,42 @@ namespace mercury::obs {
 namespace {
 
 /// Key for "which run's which component": phases never match across runs.
-using Key = std::pair<std::uint64_t, std::string>;
+using Key = std::pair<std::uint64_t, std::uint32_t>;  // (run, component label id)
 
-struct PendingAction {
-  RecoveryPhases row;
+/// The labels the analysis matches on, interned once.
+struct Names {
+  Label fault{"fault"}, fault_manifest{"fault.manifest"};
+  Label sim{"sim"}, trial_recovered{"trial.recovered"};
+  Label detect{"detect"}, fd_report{"fd.report"};
+  Label recover{"recover"}, rec_restart{"rec.restart"}, rec_soft{"rec.soft"};
+  Label manifest{"manifest"}, component{"component"}, cell{"cell"};
+  Label planned{"planned"}, escalation{"escalation"};
 };
+
+const Names& names() {
+  static const Names kNames;
+  return kNames;
+}
 
 /// Shared body of both recovery_phases overloads; `Range` is any forward
 /// range of TraceEvent (flat vector or chunked EventBuffer).
 template <typename Range>
 std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
+  const Names& n = names();
   std::vector<RecoveryPhases> rows;
   // Latest unconsumed fault onset / failure report per (run, component).
   std::map<Key, double> manifest_at;
   std::map<Key, double> report_at;
-  std::map<std::uint64_t, PendingAction> open_actions;  // by span id
+  std::map<std::uint64_t, RecoveryPhases> open_actions;  // by span id
   // Index into `rows` of the run's latest completed action.
   std::map<std::uint64_t, std::size_t> last_row_of_run;
 
   for (const TraceEvent& event : events) {
-    if (event.category == "fault" && event.name == "fault.manifest") {
-      manifest_at[{event.run, event.arg_or("manifest")}] = event.t;
+    if (event.category == n.fault && event.name == n.fault_manifest) {
+      manifest_at[{event.run, event.text_arg(n.manifest).id()}] = event.t;
       continue;
     }
-    if (event.category == "sim" && event.name == "trial.recovered") {
+    if (event.category == n.sim && event.name == n.trial_recovered) {
       // The harness observed the station functionally ready again. The gap
       // between the restart action's end and this instant is post-restart
       // readiness work (e.g. the §4.3 ses/str resync) — part of the
@@ -49,36 +61,36 @@ std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
       }
       continue;
     }
-    if (event.category == "detect" && event.name == "fd.report") {
-      report_at[{event.run, event.arg_or("component")}] = event.t;
+    if (event.category == n.detect && event.name == n.fd_report) {
+      report_at[{event.run, event.text_arg(n.component).id()}] = event.t;
       continue;
     }
-    const bool is_action = event.category == "recover" &&
-                           (event.name == "rec.restart" || event.name == "rec.soft");
+    const bool is_action = event.category == n.recover &&
+                           (event.name == n.rec_restart || event.name == n.rec_soft);
     if (!is_action) continue;
 
     if (event.kind == EventKind::kBegin) {
-      PendingAction action;
-      RecoveryPhases& row = action.row;
+      RecoveryPhases row;
+      const Label component = event.text_arg(n.component);
       row.run = event.run;
-      row.component = event.arg_or("component");
-      row.cell = event.arg_or("cell");
-      row.soft = event.name == "rec.soft";
-      row.planned = event.arg_or("planned") == "1";
-      // Checked parse: traces can come from files (jsonl round trips), so a
+      row.component = component.str();
+      row.cell = event.text_arg(n.cell).str();
+      row.soft = event.name == n.rec_soft;
+      const TraceArg* planned = event.find_arg(n.planned);
+      row.planned = planned != nullptr && planned->value() == "1";
+      // Checked read: traces can come from files (jsonl round trips), so a
       // malformed escalation arg must degrade to 0, not whatever atoi
       // happens to return on garbage or out-of-range input.
-      const std::string escalation = event.arg_or("escalation", "0");
-      int level = 0;
-      const auto [ptr, ec] = std::from_chars(
-          escalation.data(), escalation.data() + escalation.size(), level);
+      const TraceArg* escalation = event.find_arg(n.escalation);
+      std::uint64_t level = 0;
       row.escalation_level =
-          (ec == std::errc{} && ptr == escalation.data() + escalation.size())
-              ? level
+          escalation != nullptr && escalation->to_u64(level) &&
+                  level <= static_cast<std::uint64_t>(std::numeric_limits<int>::max())
+              ? static_cast<int>(level)
               : 0;
       row.t_action_begin = event.t;
 
-      const Key key{event.run, row.component};
+      const Key key{event.run, component.id()};
       const auto report = report_at.find(key);
       if (report != report_at.end() && report->second <= event.t) {
         row.t_report = report->second;
@@ -94,13 +106,13 @@ std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
         row.t_fault = manifest->second;
         manifest_at.erase(manifest);
       }
-      open_actions[event.span] = std::move(action);
+      open_actions[event.span] = std::move(row);
     } else if (event.kind == EventKind::kEnd) {
       const auto it = open_actions.find(event.span);
       if (it == open_actions.end()) continue;
-      it->second.row.t_complete = event.t;
+      it->second.t_complete = event.t;
       last_row_of_run[event.run] = rows.size();
-      rows.push_back(std::move(it->second.row));
+      rows.push_back(std::move(it->second));
       open_actions.erase(it);
     }
   }

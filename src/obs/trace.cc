@@ -1,11 +1,21 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <istream>
+#include <memory>
+#include <mutex>
+#include <new>
 #include <ostream>
 #include <sstream>
+
+#include "util/strings.h"
 
 namespace mercury::obs {
 
@@ -41,23 +51,231 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-/// Timestamps print with microsecond resolution; %.9g keeps round-trip
-/// fidelity for the double seconds the recorder stores.
-std::string json_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
+// --- Number formatting ------------------------------------------------------
+// std::to_chars with an explicit precision is specified to print exactly
+// what printf does in the "C" locale, so these reproduce std::to_string,
+// util::format_fixed (an ostream in fixed mode, i.e. "%.*f") and "%.9g"
+// byte for byte (tests/test_trace.cc pins each against its reference).
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, result.ptr);
 }
 
-void write_args_object(std::ostream& out, const std::vector<TraceArg>& args) {
-  out << '{';
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << json_escape(args[i].key) << "\":\"" << json_escape(args[i].value)
-        << '"';
-  }
-  out << '}';
+void append_i64(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, result.ptr);
 }
+
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[400];
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  if (result.ec == std::errc{}) {
+    out.append(buf, result.ptr);
+  } else {
+    out += util::format_fixed(v, precision);  // beyond the buffer: rare, slow path
+  }
+}
+
+/// Timestamps print with microsecond resolution; %.9g keeps round-trip
+/// fidelity for the double seconds the recorder stores.
+void append_number(std::string& out, double v) {
+  char buf[32];
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 9);
+  out.append(buf, result.ptr);
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+// Checked numeric parse of a whole string: corrupted trace lines carry
+// tokens like "-", ".", "e", or out-of-range digit runs. std::stod/stoull
+// would throw on them and kill the reader; from_chars reports failure.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+// --- Intern pool ------------------------------------------------------------
+
+struct LabelEntry {
+  std::string text;
+  std::string escaped;
+};
+
+/// The process-wide pool. Entries live in fixed blocks that never move, so
+/// a published id can be read without the lock: the entry is written before
+/// its id escapes the mutex, and every reader obtained the id either under
+/// the mutex (its own intern) or from a thread that did (events handed over
+/// through the runner's join).
+class LabelPool {
+ public:
+  static LabelPool& instance() {
+    // Leaked on purpose: labels must stay readable until the process exits,
+    // including from thread-local destructors and static destructors.
+    static LabelPool* const pool = new LabelPool();
+    return *pool;
+  }
+
+  std::uint32_t intern(std::string_view text) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(text);
+    if (it != index_.end()) return it->second;
+    const std::uint32_t id = size_.load(std::memory_order_relaxed);
+    const std::size_t block = id >> kBlockBits;
+    if (block >= kMaxBlocks) {
+      std::fprintf(stderr, "obs: label intern pool exhausted (%u labels)\n",
+                   static_cast<unsigned>(id));
+      std::abort();
+    }
+    LabelEntry* entries = blocks_[block].load(std::memory_order_relaxed);
+    if (entries == nullptr) {
+      entries = new LabelEntry[kBlockSize];
+      blocks_[block].store(entries, std::memory_order_release);
+    }
+    LabelEntry& entry = entries[id & (kBlockSize - 1)];
+    entry.text.assign(text);
+    entry.escaped = json_escape(text);
+    index_.emplace(entry.text, id);
+    size_.store(id + 1, std::memory_order_release);
+    return id;
+  }
+
+  const LabelEntry& entry(std::uint32_t id) const {
+    return blocks_[id >> kBlockBits].load(std::memory_order_acquire)[id & (kBlockSize - 1)];
+  }
+
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
+
+ private:
+  static constexpr unsigned kBlockBits = 10;
+  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockBits;
+  static constexpr std::size_t kMaxBlocks = 4096;  // 4M distinct labels
+
+  LabelPool() { intern(""); }  // id 0 is the empty string
+
+  std::atomic<LabelEntry*> blocks_[kMaxBlocks] = {};
+  std::mutex mutex_;
+  std::unordered_map<std::string_view, std::uint32_t> index_;  // guarded
+  std::atomic<std::uint32_t> size_{0};
+};
+
+/// A string's first and last 8 bytes (overlapping loads). For strings of at
+/// most 16 bytes the pair plus the length identifies the string exactly, so
+/// the cache compares two words instead of calling memcmp.
+struct Words {
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+};
+
+Words words_of(std::string_view s) {
+  const char* p = s.data();
+  const std::size_t n = s.size();
+  Words w;
+  if (n >= 8) {
+    std::memcpy(&w.head, p, 8);
+    std::memcpy(&w.tail, p + n - 8, 8);
+  } else if (n >= 4) {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::memcpy(&head, p, 4);
+    std::memcpy(&tail, p + n - 4, 4);
+    w.head = head;
+    w.tail = tail;
+  } else if (n > 0) {
+    w.head = static_cast<std::uint64_t>(static_cast<unsigned char>(p[0])) |
+             static_cast<std::uint64_t>(static_cast<unsigned char>(p[n / 2])) << 8 |
+             static_cast<std::uint64_t>(static_cast<unsigned char>(p[n - 1])) << 16;
+  }
+  return w;
+}
+
+std::uint64_t mix(std::uint64_t h) {
+  h ^= h >> 31;
+  h *= 0xBF58476D1CE4E5B9ull;
+  return h ^ (h >> 29);
+}
+
+std::uint64_t hash_text(std::string_view s, const Words& w) {
+  std::uint64_t h = (w.head * 0x9E3779B97F4A7C15ull) ^ (w.tail * 0x94D049BB133111EBull) ^ s.size();
+  for (std::size_t i = 8; i + 8 < s.size(); i += 8) {  // middle words, long strings only
+    std::uint64_t word;
+    std::memcpy(&word, s.data() + i, 8);
+    h = (h ^ word) * 0x9E3779B97F4A7C15ull;
+  }
+  return mix(h);
+}
+
+/// Per-thread front of the pool: an open-addressing table from text to id.
+/// A hit costs one hash and a two-word compare (plus a memcmp for strings
+/// over 16 bytes), with no lock; only a thread's first sight of a string
+/// goes to the pool.
+class LabelCache {
+ public:
+  std::uint32_t intern(std::string_view text) {
+    if (text.empty()) return 0;
+    if (slots_.empty()) slots_.resize(256);
+    const Words words = words_of(text);
+    const std::uint64_t hash = hash_text(text, words);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.data == nullptr) break;
+      if (slot.size == text.size() && slot.words.head == words.head &&
+          slot.words.tail == words.tail &&
+          (text.size() <= 16 ||
+           std::memcmp(slot.data, text.data(), text.size()) == 0)) {
+        return slot.id;
+      }
+    }
+    LabelPool& pool = LabelPool::instance();
+    const std::uint32_t id = pool.intern(text);
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    insert(Slot{words, hash, pool.entry(id).text.data(), text.size(), id});
+    ++count_;
+    return id;
+  }
+
+ private:
+  struct Slot {
+    Words words;
+    std::uint64_t hash = 0;
+    const char* data = nullptr;  ///< the pool's copy; nullptr marks a free slot
+    std::size_t size = 0;
+    std::uint32_t id = 0;
+  };
+
+  void insert(const Slot& slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].data != nullptr) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.data != nullptr) insert(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+};
+
+thread_local LabelCache t_label_cache;
+
+std::uint32_t intern(std::string_view text) { return t_label_cache.intern(text); }
 
 }  // namespace
 
@@ -71,25 +289,194 @@ std::string_view to_string(EventKind kind) {
   return "?";
 }
 
-std::string TraceEvent::arg_or(const std::string& key,
-                               const std::string& fallback) const {
-  for (const auto& arg : args) {
-    if (arg.key == key) return arg.value;
+// --- Label ----------------------------------------------------------------
+
+Label::Label(std::string_view text) : id_(intern(text)) {}
+
+const std::string& Label::str() const {
+  return LabelPool::instance().entry(id_).text;
+}
+
+const std::string& Label::escaped() const {
+  return LabelPool::instance().entry(id_).escaped;
+}
+
+std::ostream& operator<<(std::ostream& out, Label label) { return out << label.str(); }
+
+std::size_t interned_label_count() { return LabelPool::instance().size(); }
+
+// --- TraceArg ---------------------------------------------------------------
+
+TraceArg::TraceArg(std::string_view key_text, std::string_view value)
+    : key(key_text), type_(ArgType::kString), bits_(intern(value)) {}
+
+TraceArg::TraceArg(const Arg& arg)
+    : key(arg.key_), type_(arg.type_), precision_(arg.precision_) {
+  switch (arg.type_) {
+    case ArgType::kString:
+      bits_ = intern(arg.text_);
+      break;
+    case ArgType::kUnsigned: bits_ = arg.unsigned_; break;
+    case ArgType::kSigned: bits_ = static_cast<std::uint64_t>(arg.signed_); break;
+    case ArgType::kFixed:
+    case ArgType::kNumber: bits_ = std::bit_cast<std::uint64_t>(arg.number_); break;
   }
-  return fallback;
+}
+
+TraceArg TraceArg::number(std::string_view key_text, double value) {
+  TraceArg arg;
+  arg.key = Label(key_text);
+  arg.type_ = ArgType::kNumber;
+  arg.bits_ = std::bit_cast<std::uint64_t>(value);
+  return arg;
+}
+
+bool TraceArg::to_u64(std::uint64_t& out) const {
+  switch (type_) {
+    case ArgType::kUnsigned: out = bits_; return true;
+    case ArgType::kSigned:
+      if (static_cast<std::int64_t>(bits_) < 0) return false;
+      out = bits_;
+      return true;
+    case ArgType::kString: return parse_whole(text().view(), out);
+    case ArgType::kFixed:
+    case ArgType::kNumber: return false;
+  }
+  return false;
+}
+
+bool TraceArg::to_double(double& out) const {
+  switch (type_) {
+    case ArgType::kUnsigned: out = static_cast<double>(bits_); return true;
+    case ArgType::kSigned:
+      out = static_cast<double>(static_cast<std::int64_t>(bits_));
+      return true;
+    case ArgType::kFixed:
+    case ArgType::kNumber: out = std::bit_cast<double>(bits_); return true;
+    case ArgType::kString: return parse_whole(text().view(), out);
+  }
+  return false;
+}
+
+void TraceArg::append_escaped(std::string& out) const {
+  switch (type_) {
+    case ArgType::kString: out += text().escaped(); break;
+    case ArgType::kUnsigned: append_u64(out, bits_); break;
+    case ArgType::kSigned: append_i64(out, static_cast<std::int64_t>(bits_)); break;
+    case ArgType::kFixed:
+      append_fixed(out, std::bit_cast<double>(bits_), precision_);
+      break;
+    case ArgType::kNumber: append_number(out, std::bit_cast<double>(bits_)); break;
+  }
+}
+
+std::string TraceArg::value() const {
+  if (type_ == ArgType::kString) return text().str();
+  std::string out;
+  append_escaped(out);  // numbers never need escaping
+  return out;
+}
+
+void TraceArgs::assign(const TraceArg* data, std::size_t size) {
+  if (size == 0) return;
+  TraceArg* copy = new TraceArg[size];
+  std::copy(data, data + size, copy);
+  data_ = copy;
+  size_ = static_cast<std::uint32_t>(size);
+  owned_ = true;
+}
+
+void TraceArgs::release() {
+  if (owned_) delete[] data_;
+  data_ = nullptr;
+  size_ = 0;
+  owned_ = false;
+}
+
+// --- TraceEvent -------------------------------------------------------------
+
+const TraceArg* TraceEvent::find_arg(Label key) const {
+  for (const TraceArg& arg : args) {
+    if (arg.key == key) return &arg;
+  }
+  return nullptr;
+}
+
+Label TraceEvent::text_arg(Label key) const {
+  const TraceArg* arg = find_arg(key);
+  return arg != nullptr ? arg->text() : Label();
+}
+
+std::string TraceEvent::arg_or(std::string_view key, std::string_view fallback) const {
+  for (const TraceArg& arg : args) {
+    if (arg.key == key) return arg.value();
+  }
+  return std::string(fallback);
 }
 
 // --- EventBuffer ----------------------------------------------------------
 
-void EventBuffer::push_back(TraceEvent event) {
+void EventBuffer::ArgArena::Free::operator()(TraceArg* block) const {
+  ::operator delete(block);
+}
+
+TraceArg* EventBuffer::ArgArena::allocate(std::size_t count) {
+  if (count == 0) return nullptr;
+  if (blocks_.empty() || used_ + count > capacity_) {
+    // Raw storage: args are constructed on use, so untouched block pages
+    // never become resident.
+    capacity_ = std::max(kBlockArgs, count);
+    blocks_.emplace_back(
+        static_cast<TraceArg*>(::operator new(capacity_ * sizeof(TraceArg))));
+    used_ = 0;
+  }
+  TraceArg* out = blocks_.back().get() + used_;
+  used_ += count;
+  return out;
+}
+
+TraceEvent& EventBuffer::append(std::size_t arg_count, TraceArg*& args) {
   if (chunks_.empty() || chunks_.back().events.size() >= kChunkCapacity) {
     Chunk chunk;
     chunk.start = size_;
     chunk.events.reserve(kChunkCapacity);
     chunks_.push_back(std::move(chunk));
   }
-  chunks_.back().events.push_back(std::move(event));
+  Chunk& chunk = chunks_.back();
+  args = chunk.args.allocate(arg_count);
+  TraceEvent& event = chunk.events.emplace_back();
+  event.args = TraceArgs::view(args, static_cast<std::uint32_t>(arg_count));
   ++size_;
+  return event;
+}
+
+void EventBuffer::push_back(const TraceEvent& event, std::uint64_t span_offset,
+                            std::uint64_t run_offset) {
+  TraceArg* args = nullptr;
+  TraceEvent& stored = append(event.args.size(), args);
+  std::uninitialized_copy(event.args.begin(), event.args.end(), args);
+  stored.t = event.t;
+  stored.span = event.span != 0 ? event.span + span_offset : 0;
+  stored.run = event.run + run_offset;
+  stored.category = event.category;
+  stored.name = event.name;
+  stored.track = event.track;
+  stored.kind = event.kind;
+}
+
+void EventBuffer::emplace(double t, EventKind kind, Label category, Label name,
+                          Label track, std::uint64_t span, std::uint64_t run,
+                          Args args) {
+  TraceArg* stored_args = nullptr;
+  TraceEvent& event = append(args.size(), stored_args);
+  for (const Arg& arg : args) new (stored_args++) TraceArg(arg);
+  event.t = t;
+  event.span = span;
+  event.run = run;
+  event.category = category;
+  event.name = name;
+  event.track = track;
+  event.kind = kind;
 }
 
 const TraceEvent& EventBuffer::operator[](std::size_t index) const {
@@ -154,86 +541,78 @@ EventBuffer::const_iterator& EventBuffer::const_iterator::operator++() {
   return *this;
 }
 
+// --- TraceRecorder ----------------------------------------------------------
+
 TraceRecorder::TraceRecorder(std::size_t max_events) : max_events_(max_events) {}
 
-void TraceRecorder::push(TraceEvent event) {
+void TraceRecorder::push(double t, EventKind kind, const SpanLabels& labels,
+                         std::uint64_t span, Args args) {
   if (events_.size() >= max_events_) {
     ++dropped_;
     return;
   }
-  events_.push_back(std::move(event));
+  events_.emplace(t, kind, labels.category, labels.name, labels.track, span, run_,
+                  args);
 }
 
-void TraceRecorder::instant(double t, std::string category, std::string name,
-                            std::string track, std::vector<TraceArg> args) {
-  TraceEvent event;
-  event.t = t;
-  event.kind = EventKind::kInstant;
-  event.category = std::move(category);
-  event.name = std::move(name);
-  event.track = std::move(track);
-  event.run = run_;
-  event.args = std::move(args);
-  push(std::move(event));
+void TraceRecorder::instant(double t, std::string_view category,
+                            std::string_view name, std::string_view track,
+                            Args args) {
+  push(t, EventKind::kInstant, {Label(category), Label(name), Label(track)}, 0,
+       args);
 }
 
-std::uint64_t TraceRecorder::begin(double t, std::string category,
-                                   std::string name, std::string track,
-                                   std::vector<TraceArg> args) {
+std::uint64_t TraceRecorder::begin(double t, std::string_view category,
+                                   std::string_view name, std::string_view track,
+                                   Args args) {
   const std::uint64_t id = next_span_++;
-  open_spans_[id] = {category, name, track};
-  TraceEvent event;
-  event.t = t;
-  event.kind = EventKind::kBegin;
-  event.category = std::move(category);
-  event.name = std::move(name);
-  event.track = std::move(track);
-  event.span = id;
-  event.run = run_;
-  event.args = std::move(args);
-  push(std::move(event));
+  const SpanLabels labels{Label(category), Label(name), Label(track)};
+  open_spans_[id] = labels;
+  push(t, EventKind::kBegin, labels, id, args);
   return id;
 }
 
-void TraceRecorder::end(double t, std::uint64_t span,
-                        std::vector<TraceArg> args) {
+void TraceRecorder::end(double t, std::uint64_t span, Args args) {
   const auto it = open_spans_.find(span);
   if (it == open_spans_.end()) return;  // never opened, or already closed
-  TraceEvent event;
-  event.t = t;
-  event.kind = EventKind::kEnd;
-  event.category = it->second[0];
-  event.name = it->second[1];
-  event.track = it->second[2];
-  event.span = span;
-  event.run = run_;
-  event.args = std::move(args);
+  const SpanLabels labels = it->second;
   open_spans_.erase(it);
-  push(std::move(event));
+  push(t, EventKind::kEnd, labels, span, args);
 }
 
-void TraceRecorder::counter(double t, std::string name, double value,
-                            std::string track) {
+void TraceRecorder::counter(double t, std::string_view name, double value,
+                            std::string_view track) {
+  if (events_.size() >= max_events_) {
+    ++dropped_;
+    return;
+  }
   TraceEvent event;
   event.t = t;
   event.kind = EventKind::kCounter;
-  event.category = "metric";
-  event.name = std::move(name);
-  event.track = std::move(track);
+  event.category = Label("metric");
+  event.name = Label(name);
+  event.track = Label(track);
   event.run = run_;
-  event.args = {{"value", json_number(value)}};
-  push(std::move(event));
+  event.args = {TraceArg::number("value", value)};
+  events_.push_back(event);
 }
 
-void TraceRecorder::incr(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
+void TraceRecorder::incr(std::string_view name, std::uint64_t delta) {
+  const auto it = counters_.find(name);
+  if (it != counters_.end()) {
+    it->second += delta;
+  } else {
+    counters_.emplace(std::string(name), delta);
+  }
 }
 
-void TraceRecorder::observe(const std::string& name, double value) {
-  samples_[name].add(value);
+void TraceRecorder::observe(std::string_view name, double value) {
+  auto it = samples_.find(name);
+  if (it == samples_.end()) it = samples_.emplace(std::string(name), util::SampleStats{}).first;
+  it->second.add(value);
 }
 
-std::uint64_t TraceRecorder::count(const std::string& name) const {
+std::uint64_t TraceRecorder::count(std::string_view name) const {
   const auto it = counters_.find(name);
   return it != counters_.end() ? it->second : 0;
 }
@@ -265,10 +644,11 @@ void TraceRecorder::merge_from(const TraceRecorder& other) {
   const std::uint64_t span_offset = next_span_ - 1;
   const std::uint64_t run_offset = run_;
   for (const TraceEvent& event : other.events_) {
-    TraceEvent copy = event;
-    if (copy.span != 0) copy.span += span_offset;
-    copy.run += run_offset;
-    push(std::move(copy));
+    if (events_.size() >= max_events_) {
+      ++dropped_;
+      continue;
+    }
+    events_.push_back(event, span_offset, run_offset);
   }
   merge_metadata_from(other);
 }
@@ -292,10 +672,11 @@ void TraceRecorder::merge_metadata_from(const TraceRecorder& other) {
   next_span_ += other.next_span_ - 1;
   run_ += other.run_;
   dropped_ += other.dropped_;
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
+  for (const auto& [name, value] : other.counters_) incr(name, value);
   for (const auto& [name, stats] : other.samples_) {
-    util::SampleStats& mine = samples_[name];
-    for (const double value : stats.samples()) mine.add(value);
+    auto it = samples_.find(name);
+    if (it == samples_.end()) it = samples_.emplace(name, util::SampleStats{}).first;
+    for (const double value : stats.samples()) it->second.add(value);
   }
 }
 
@@ -309,18 +690,70 @@ void TraceRecorder::clear() {
   dropped_ = 0;
 }
 
+// --- Export -----------------------------------------------------------------
+
 namespace {
 
+/// Buffered writer: exporters format into one string and hand the stream
+/// large blocks instead of many small insertions.
+class Sink {
+ public:
+  explicit Sink(std::ostream& out) : out_(out) { buf_.reserve(kFlushAt + 1024); }
+  ~Sink() { flush(); }
+  Sink(const Sink&) = delete;
+  Sink& operator=(const Sink&) = delete;
+
+  std::string& buf() { return buf_; }
+  void maybe_flush() {
+    if (buf_.size() >= kFlushAt) flush();
+  }
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kFlushAt = 64 * 1024;
+  std::ostream& out_;
+  std::string buf_;
+};
+
+void append_args_object(std::string& out, const TraceArgs& args) {
+  out += '{';
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += args[i].key.escaped();
+    out += "\":\"";
+    args[i].append_escaped(out);
+    out += '"';
+  }
+  out += '}';
+}
+
 template <typename Range>
-void write_jsonl_impl(const Range& events, std::ostream& out) {
+void write_jsonl_impl(const Range& events, std::ostream& stream) {
+  Sink sink(stream);
+  std::string& out = sink.buf();
   for (const TraceEvent& event : events) {
-    out << "{\"t\":" << json_number(event.t) << ",\"ph\":\""
-        << to_string(event.kind) << "\",\"cat\":\"" << json_escape(event.category)
-        << "\",\"name\":\"" << json_escape(event.name) << "\",\"track\":\""
-        << json_escape(event.track) << "\",\"span\":" << event.span
-        << ",\"run\":" << event.run << ",\"args\":";
-    write_args_object(out, event.args);
-    out << "}\n";
+    out += "{\"t\":";
+    append_number(out, event.t);
+    out += ",\"ph\":\"";
+    out += to_string(event.kind);
+    out += "\",\"cat\":\"";
+    out += event.category.escaped();
+    out += "\",\"name\":\"";
+    out += event.name.escaped();
+    out += "\",\"track\":\"";
+    out += event.track.escaped();
+    out += "\",\"span\":";
+    append_u64(out, event.span);
+    out += ",\"run\":";
+    append_u64(out, event.run);
+    out += ",\"args\":";
+    append_args_object(out, event.args);
+    out += "}\n";
+    sink.maybe_flush();
   }
 }
 
@@ -338,49 +771,71 @@ void TraceRecorder::write_jsonl(std::ostream& out) const {
   write_jsonl_impl(events_, out);
 }
 
-void TraceRecorder::write_chrome_trace(std::ostream& out) const {
+void TraceRecorder::write_chrome_trace(std::ostream& stream) const {
   // Tracks map to Chrome thread ids within the run's process; name them via
   // metadata events so the viewer shows "fd", "rec", ... instead of numbers.
-  std::map<std::pair<std::uint64_t, std::string>, int> tids;
-  out << "{\"traceEvents\":[";
+  std::map<std::pair<std::uint64_t, std::uint32_t>, int> tids;
+  Sink sink(stream);
+  std::string& out = sink.buf();
+  out += "{\"traceEvents\":[";
   bool first = true;
   const auto comma = [&] {
-    if (!first) out << ",\n";
+    if (!first) out += ",\n";
     first = false;
   };
+  static const Label kValue("value");
   for (const TraceEvent& event : events_) {
-    const auto key = std::make_pair(event.run, event.track);
+    const auto key = std::make_pair(event.run, event.track.id());
     auto it = tids.find(key);
     if (it == tids.end()) {
       const int tid = static_cast<int>(tids.size()) + 1;
       it = tids.emplace(key, tid).first;
       comma();
-      out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << event.run
-          << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-          << json_escape(event.track) << "\"}}";
+      out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
+      append_u64(out, event.run);
+      out += ",\"tid\":";
+      append_i64(out, tid);
+      out += ",\"args\":{\"name\":\"";
+      out += event.track.escaped();
+      out += "\"}}";
       comma();
-      out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << event.run
-          << ",\"tid\":" << tid << ",\"args\":{\"name\":\"run " << event.run
-          << "\"}}";
+      out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
+      append_u64(out, event.run);
+      out += ",\"tid\":";
+      append_i64(out, tid);
+      out += ",\"args\":{\"name\":\"run ";
+      append_u64(out, event.run);
+      out += "\"}}";
     }
     comma();
-    out << "{\"ph\":\"" << to_string(event.kind) << "\",\"ts\":"
-        << json_number(event.t * 1e6) << ",\"pid\":" << event.run
-        << ",\"tid\":" << it->second << ",\"cat\":\"" << json_escape(event.category)
-        << "\",\"name\":\"" << json_escape(event.name) << "\"";
-    if (event.kind == EventKind::kInstant) out << ",\"s\":\"t\"";
+    out += "{\"ph\":\"";
+    out += to_string(event.kind);
+    out += "\",\"ts\":";
+    append_number(out, event.t * 1e6);
+    out += ",\"pid\":";
+    append_u64(out, event.run);
+    out += ",\"tid\":";
+    append_i64(out, it->second);
+    out += ",\"cat\":\"";
+    out += event.category.escaped();
+    out += "\",\"name\":\"";
+    out += event.name.escaped();
+    out += "\"";
+    if (event.kind == EventKind::kInstant) out += ",\"s\":\"t\"";
     if (event.kind == EventKind::kCounter) {
       // Counter events carry their value in args; Chrome wants it numeric.
-      out << ",\"args\":{\"value\":" << event.arg_or("value", "0") << "}";
+      out += ",\"args\":{\"value\":";
+      const TraceArg* value = event.find_arg(kValue);
+      out += value != nullptr ? value->value() : std::string("0");
+      out += "}";
     } else {
-      out << ",\"args\":";
-      std::ostringstream args;
-      write_args_object(args, event.args);
-      out << args.str();
+      out += ",\"args\":";
+      append_args_object(out, event.args);
     }
-    out << "}";
+    out += "}";
+    sink.maybe_flush();
   }
-  out << "]}\n";
+  out += "]}\n";
 }
 
 // --- JSONL import ---------------------------------------------------------
@@ -475,32 +930,17 @@ bool parse_number(Cursor& c, std::string& out) {
   return !out.empty();
 }
 
-// Checked numeric parses: corrupted lines carry tokens like "-", ".", "e",
-// or out-of-range digit runs, all of which parse_number happily collects.
-// std::stod/std::stoull would throw on them and kill the reader; from_chars
-// reports failure and the line is skipped.
-bool parse_double_checked(std::string_view text, double& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_u64_checked(std::string_view text, std::uint64_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
 bool parse_args(Cursor& c, std::vector<TraceArg>& out) {
   if (!c.eat('{')) return false;
   c.skip_ws();
   if (c.eat('}')) return true;
+  std::string key;
+  std::string value;
   while (true) {
-    TraceArg arg;
-    if (!parse_string(c, arg.key)) return false;
+    if (!parse_string(c, key)) return false;
     if (!c.eat(':')) return false;
-    if (!parse_string(c, arg.value)) return false;
-    out.push_back(std::move(arg));
+    if (!parse_string(c, value)) return false;
+    out.emplace_back(key, value);
     if (c.eat('}')) return true;
     if (!c.eat(',')) return false;
   }
@@ -509,41 +949,43 @@ bool parse_args(Cursor& c, std::vector<TraceArg>& out) {
 bool parse_event(std::string_view line, TraceEvent& event) {
   Cursor c{line};
   if (!c.eat('{')) return false;
+  std::string key;
+  std::string value;
+  std::vector<TraceArg> args;
   while (true) {
     c.skip_ws();
-    std::string key;
     if (!parse_string(c, key)) return false;
     if (!c.eat(':')) return false;
     if (key == "args") {
-      if (!parse_args(c, event.args)) return false;
+      if (!parse_args(c, args)) return false;
     } else if (key == "ph") {
-      std::string ph;
-      if (!parse_string(c, ph)) return false;
-      if (ph == "i") event.kind = EventKind::kInstant;
-      else if (ph == "B") event.kind = EventKind::kBegin;
-      else if (ph == "E") event.kind = EventKind::kEnd;
-      else if (ph == "C") event.kind = EventKind::kCounter;
+      if (!parse_string(c, value)) return false;
+      if (value == "i") event.kind = EventKind::kInstant;
+      else if (value == "B") event.kind = EventKind::kBegin;
+      else if (value == "E") event.kind = EventKind::kEnd;
+      else if (value == "C") event.kind = EventKind::kCounter;
       else return false;
     } else if (key == "cat" || key == "name" || key == "track") {
-      std::string value;
       if (!parse_string(c, value)) return false;
-      if (key == "cat") event.category = std::move(value);
-      else if (key == "name") event.name = std::move(value);
-      else event.track = std::move(value);
+      if (key == "cat") event.category = Label(value);
+      else if (key == "name") event.name = Label(value);
+      else event.track = Label(value);
     } else if (key == "t" || key == "span" || key == "run") {
-      std::string num;
-      if (!parse_number(c, num)) return false;
+      if (!parse_number(c, value)) return false;
       if (key == "t") {
-        if (!parse_double_checked(num, event.t)) return false;
+        if (!parse_whole(value, event.t)) return false;
       } else if (key == "span") {
-        if (!parse_u64_checked(num, event.span)) return false;
+        if (!parse_whole(value, event.span)) return false;
       } else {
-        if (!parse_u64_checked(num, event.run)) return false;
+        if (!parse_whole(value, event.run)) return false;
       }
     } else {
       return false;  // unknown field: not our schema
     }
-    if (c.eat('}')) return true;
+    if (c.eat('}')) {
+      event.args = args;
+      return true;
+    }
     if (!c.eat(',')) return false;
   }
 }
@@ -571,33 +1013,29 @@ TraceRecorder* set_recorder(TraceRecorder* rec) {
   return previous;
 }
 
-void instant(util::TimePoint t, std::string category, std::string name,
-             std::string track, std::vector<TraceArg> args) {
+void instant(util::TimePoint t, std::string_view category, std::string_view name,
+             std::string_view track, Args args) {
   if (g_recorder == nullptr) return;
-  g_recorder->instant(t.to_seconds(), std::move(category), std::move(name),
-                      std::move(track), std::move(args));
+  g_recorder->instant(t.to_seconds(), category, name, track, args);
 }
 
-std::uint64_t begin_span(util::TimePoint t, std::string category,
-                         std::string name, std::string track,
-                         std::vector<TraceArg> args) {
+std::uint64_t begin_span(util::TimePoint t, std::string_view category,
+                         std::string_view name, std::string_view track, Args args) {
   if (g_recorder == nullptr) return 0;
-  return g_recorder->begin(t.to_seconds(), std::move(category), std::move(name),
-                           std::move(track), std::move(args));
+  return g_recorder->begin(t.to_seconds(), category, name, track, args);
 }
 
-void end_span(util::TimePoint t, std::uint64_t span,
-              std::vector<TraceArg> args) {
+void end_span(util::TimePoint t, std::uint64_t span, Args args) {
   if (g_recorder == nullptr || span == 0) return;
-  g_recorder->end(t.to_seconds(), span, std::move(args));
+  g_recorder->end(t.to_seconds(), span, args);
 }
 
-void incr(const std::string& name, std::uint64_t delta) {
+void incr(std::string_view name, std::uint64_t delta) {
   if (g_recorder == nullptr) return;
   g_recorder->incr(name, delta);
 }
 
-void observe(const std::string& name, double value) {
+void observe(std::string_view name, double value) {
   if (g_recorder == nullptr) return;
   g_recorder->observe(name, value);
 }

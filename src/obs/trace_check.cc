@@ -1,7 +1,6 @@
 #include "obs/trace_check.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -15,60 +14,70 @@ namespace mercury::obs {
 
 namespace {
 
-bool parse_double(const std::string& text, double& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
+/// The labels the checker matches on, interned once.
+struct Names {
+  Label sim{"sim"}, trial_start{"trial.start"}, trial_recovered{"trial.recovered"};
+  Label fault{"fault"}, fault_manifest{"fault.manifest"}, fault_cured{"fault.cured"};
+  Label recover{"recover"}, rec_parked{"rec.parked"};
+  Label rec_hard_failure{"rec.hard-failure"}, rec_restart{"rec.restart"};
+  Label restart{"restart"}, traffic{"traffic"}, traffic_request{"traffic.request"};
+  Label recovery{"recovery"}, id{"id"}, manifest{"manifest"}, component{"component"};
+  Label cell{"cell"}, target{"target"}, mode{"mode"};
+  Label epoch{"epoch"}, outcome{"outcome"}, served{"served"}, ondemand{"ondemand"};
+};
+
+const Names& names() {
+  static const Names kNames;
+  return kNames;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
+bool u64_arg(const TraceEvent& event, Label key, std::uint64_t& out) {
+  const TraceArg* arg = event.find_arg(key);
+  return arg != nullptr && arg->to_u64(out);
 }
 
 /// Component of a process-manager restart span ("restart:<name>").
-std::string restart_component(const TraceEvent& event) {
-  const std::string from_arg = event.arg_or("component");
+Label restart_component(const TraceEvent& event) {
+  const Label from_arg = event.text_arg(names().component);
   if (!from_arg.empty()) return from_arg;
   constexpr std::string_view kPrefix = "restart:";
-  if (event.name.size() > kPrefix.size() &&
-      std::string_view(event.name).substr(0, kPrefix.size()) == kPrefix) {
-    return event.name.substr(kPrefix.size());
+  const std::string_view name = event.name;
+  if (name.size() > kPrefix.size() && name.substr(0, kPrefix.size()) == kPrefix) {
+    return Label(name.substr(kPrefix.size()));
   }
   return event.name;
 }
 
 bool is_restart_span_begin(const TraceEvent& event) {
-  return event.kind == EventKind::kBegin && event.category == "restart" &&
-         event.name.rfind("restart:", 0) == 0;
+  return event.kind == EventKind::kBegin && event.category == names().restart &&
+         event.name.view().starts_with("restart:");
 }
 
 /// A recoverer action span ("rec.restart", sim and POSIX alike): one restart
 /// of one cell's whole group, carrying the group membership as an arg.
 bool is_action_span_begin(const TraceEvent& event) {
-  return event.kind == EventKind::kBegin && event.category == "recover" &&
-         event.name == "rec.restart";
+  return event.kind == EventKind::kBegin && event.category == names().recover &&
+         event.name == names().rec_restart;
 }
 
 /// One open rec.restart action span, for the conflicting-restart check.
 struct OpenAction {
   std::uint64_t run = 0;
-  std::string cell;
+  Label cell;
   std::vector<std::string> group;  // sorted member components
 };
 
 /// One open traffic.request span, for the phantom-goodput check.
 struct OpenRequest {
   std::uint64_t run = 0;
-  std::string target;
-  std::string mode;
+  Label target;
+  Label mode;
   double begin_t = 0.0;
 };
 
 bool is_request_span_begin(const TraceEvent& event) {
-  return event.kind == EventKind::kBegin && event.category == "traffic" &&
-         event.name == "traffic.request";
+  return event.kind == EventKind::kBegin && event.category == names().traffic &&
+         event.name == names().traffic_request;
 }
 
 bool groups_intersect(const std::vector<std::string>& a,
@@ -96,7 +105,7 @@ struct RunFacts {
   std::optional<double> reported_recovery;  // trial.recovered "recovery" arg
   std::optional<double> first_manifest_t;
   /// Outstanding fault ids -> (manifest component, onset t); erased on cure.
-  std::map<std::uint64_t, std::pair<std::string, double>> open_faults;
+  std::map<std::uint64_t, std::pair<Label, double>> open_faults;
 };
 
 /// Shared body of both check_trace overloads; `Range` is any forward range
@@ -104,6 +113,7 @@ struct RunFacts {
 template <typename Range>
 std::vector<TraceIssue> check_trace_impl(const Range& events,
                                          const CheckOptions& options) {
+  const Names& n = names();
   std::vector<TraceIssue> issues;
   const auto flag = [&](std::string invariant, std::uint64_t run,
                         std::string component, double t, std::string detail) {
@@ -111,12 +121,19 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
                                 t, std::move(detail)});
   };
 
-  using Key = std::pair<std::uint64_t, std::string>;  // (run, component)
+  using Key = std::pair<std::uint64_t, Label>;  // (run, component)
+  // Ordered by component text, not label id, so issues come out in the
+  // same order whatever order the labels were interned in.
+  const auto key_less = [](const Key& a, const Key& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second != b.second && a.second.view() < b.second.view();
+  };
+  using KeyLess = decltype(key_less);
   /// Open restart span per component: span id -> key, plus reverse map.
   std::map<std::uint64_t, Key> span_owner;
-  std::map<Key, std::uint64_t> open_restart;  // key -> open span id
-  std::map<Key, double> open_restart_t;       // key -> begin time of that span
-  std::map<Key, std::uint64_t> last_epoch;
+  std::map<Key, std::uint64_t, KeyLess> open_restart(key_less);  // key -> open span id
+  std::map<Key, double, KeyLess> open_restart_t(key_less);  // key -> begin time of that span
+  std::map<Key, std::uint64_t, KeyLess> last_epoch(key_less);
   /// Open traffic.request spans (span id -> target + mode + begin time), for
   /// the phantom-goodput overlap check.
   std::map<std::uint64_t, OpenRequest> open_requests;
@@ -124,32 +141,40 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
   /// conflicting-restart overlap check.
   std::map<std::uint64_t, OpenAction> open_actions;
   std::map<std::uint64_t, RunFacts> runs;
+  // Events arrive grouped by run, so the last run's facts are usually the
+  // ones wanted (map nodes never move).
+  RunFacts* facts_of_last_run = nullptr;
+  std::uint64_t last_run = 0;
 
   for (const TraceEvent& event : events) {
-    RunFacts& facts = runs[event.run];
+    if (facts_of_last_run == nullptr || event.run != last_run) {
+      facts_of_last_run = &runs[event.run];
+      last_run = event.run;
+    }
+    RunFacts& facts = *facts_of_last_run;
 
-    if (event.category == "sim" && event.name == "trial.start") {
+    if (event.category == n.sim && event.name == n.trial_start) {
       facts.has_trial_start = true;
-    } else if (event.category == "sim" && event.name == "trial.recovered") {
+    } else if (event.category == n.sim && event.name == n.trial_recovered) {
       facts.has_recovered = true;
       facts.recovered_t = event.t;
-      double recovery = 0.0;
-      if (parse_double(event.arg_or("recovery"), recovery)) {
-        facts.reported_recovery = recovery;
+      const TraceArg* recovery = event.find_arg(n.recovery);
+      double seconds = 0.0;
+      if (recovery != nullptr && recovery->to_double(seconds)) {
+        facts.reported_recovery = seconds;
       }
-    } else if (event.category == "fault" && event.name == "fault.manifest") {
+    } else if (event.category == n.fault && event.name == n.fault_manifest) {
       if (!facts.first_manifest_t.has_value()) facts.first_manifest_t = event.t;
       std::uint64_t id = 0;
-      if (parse_u64(event.arg_or("id"), id)) {
-        facts.open_faults[id] = {event.arg_or("manifest"), event.t};
+      if (u64_arg(event, n.id, id)) {
+        facts.open_faults[id] = {event.text_arg(n.manifest), event.t};
       }
-    } else if (event.category == "fault" && event.name == "fault.cured") {
+    } else if (event.category == n.fault && event.name == n.fault_cured) {
       std::uint64_t id = 0;
-      if (parse_u64(event.arg_or("id"), id)) facts.open_faults.erase(id);
-    } else if (event.category == "recover" && event.name == "rec.parked") {
+      if (u64_arg(event, n.id, id)) facts.open_faults.erase(id);
+    } else if (event.category == n.recover && event.name == n.rec_parked) {
       facts.has_parked = true;
-    } else if (event.category == "recover" &&
-               event.name == "rec.hard-failure") {
+    } else if (event.category == n.recover && event.name == n.rec_hard_failure) {
       facts.has_hard_failure = true;
     }
 
@@ -161,7 +186,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
       // scheduler (absorb-on-escalation, conflict queueing) must prevent.
       OpenAction action;
       action.run = event.run;
-      action.cell = event.arg_or("cell");
+      action.cell = event.text_arg(n.cell);
       action.group = util::split(event.arg_or("group"), ',');
       std::sort(action.group.begin(), action.group.end());
       for (const auto& [span, other] : open_actions) {
@@ -169,8 +194,8 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
         if (groups_intersect(action.group, other.group)) {
           flag("conflicting-restart", event.run, event.arg_or("component"),
                event.t,
-               "restart of cell " + action.cell + " begins while span " +
-                   std::to_string(span) + " (cell " + other.cell +
+               "restart of cell " + action.cell.str() + " begins while span " +
+                   std::to_string(span) + " (cell " + other.cell.str() +
                    ") holds an overlapping group");
         }
       }
@@ -180,8 +205,8 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
     if (is_request_span_begin(event)) {
       OpenRequest request;
       request.run = event.run;
-      request.target = event.arg_or("target");
-      request.mode = event.arg_or("mode");
+      request.target = event.text_arg(n.target);
+      request.mode = event.text_arg(n.mode);
       request.begin_t = event.t;
       open_requests[event.span] = std::move(request);
     }
@@ -191,7 +216,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
       const auto open = open_restart.find(key);
       if (open != open_restart.end()) {
-        flag("overlapping-restart", event.run, key.second, event.t,
+        flag("overlapping-restart", event.run, key.second.str(), event.t,
              "restart begins while span " + std::to_string(open->second) +
                  " of the same component is still in flight");
       }
@@ -200,10 +225,10 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
       span_owner[event.span] = key;
 
       std::uint64_t epoch = 0;
-      if (parse_u64(event.arg_or("epoch"), epoch)) {
+      if (u64_arg(event, n.epoch, epoch)) {
         const auto previous = last_epoch.find(key);
         if (previous != last_epoch.end() && epoch <= previous->second) {
-          flag("epoch-regression", event.run, key.second, event.t,
+          flag("epoch-regression", event.run, key.second.str(), event.t,
                "attempt epoch " + std::to_string(epoch) +
                    " not above previous " + std::to_string(previous->second));
         }
@@ -217,8 +242,8 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
         // been in flight since before the request began never reached a live
         // endpoint — unless on-demand mode, where the request itself revives
         // the target and is answered inside the same span.
-        if (event.arg_or("outcome") == "served" &&
-            request->second.mode != "ondemand") {
+        if (event.text_arg(n.outcome) == n.served &&
+            request->second.mode != n.ondemand) {
           const Key key{request->second.run, request->second.target};
           const auto open = open_restart.find(key);
           if (open != open_restart.end()) {
@@ -226,7 +251,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
             if (begun != open_restart_t.end() &&
                 begun->second <= request->second.begin_t) {
               flag("phantom-goodput", request->second.run,
-                   request->second.target, event.t,
+                   request->second.target.str(), event.t,
                    "request served although restart span " +
                        std::to_string(open->second) +
                        " of its target opened at " +
@@ -255,7 +280,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
   for (const auto& [key, span] : open_restart) {
     const auto it = runs.find(key.first);
     if (it != runs.end() && it->second.has_recovered) {
-      flag("open-restart", key.first, key.second, 0.0,
+      flag("open-restart", key.first, key.second.str(), 0.0,
            "span " + std::to_string(span) +
                " still open although the trial recovered");
     }
@@ -276,13 +301,13 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
         options.require_resolution) {
       flag("lost-kill", run, runs.at(run).open_faults.empty()
                                  ? std::string()
-                                 : runs.at(run).open_faults.begin()->second.first,
+                                 : runs.at(run).open_faults.begin()->second.first.str(),
            *facts.first_manifest_t,
            "trial neither recovered nor parked by end of trace");
     }
     if (facts.has_recovered && !facts.has_parked && !facts.has_hard_failure) {
       for (const auto& [id, fault] : facts.open_faults) {
-        flag("lost-kill", run, fault.first, fault.second,
+        flag("lost-kill", run, fault.first.str(), fault.second,
              "fault id " + std::to_string(id) +
                  " never cured although the trial recovered");
       }

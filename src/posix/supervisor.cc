@@ -164,8 +164,10 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
     obs::end_span(trace_now(), worker.restart_span, {{"outcome", "superseded"}});
   }
   worker.restart_span =
-      obs::begin_span(trace_now(), "restart", "restart:" + worker.spec.name,
-                      "posix", {{"component", worker.spec.name}});
+      obs::enabled() ? obs::begin_span(trace_now(), "restart",
+                                       "restart:" + worker.spec.name, "posix",
+                                       {{"component", worker.spec.name}})
+                     : 0;
   obs::incr("posix.spawns");
 }
 
@@ -367,7 +369,7 @@ void PosixSupervisor::check_health_policy() {
                        " MB over limit; proactive rejuvenation (§7)");
     obs::instant(sim_.now(), "recover", "rec.rejuvenate", "posix",
                  {{"component", name},
-                  {"mem_mb", util::format_fixed(memory_mb, 1)}});
+                  {"mem_mb", obs::Fixed{memory_mb, 1}}});
     obs::incr("posix.rejuvenations");
     worker.last_rejuvenation = now;
     worker.memory_mb.reset();  // a fresh figure arrives after the restart

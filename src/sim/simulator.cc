@@ -152,7 +152,7 @@ void Simulator::run_all(std::uint64_t max_events) {
   while (step()) {
     if (++n >= max_events) {
       obs::instant(now_, "sim", "sim.runaway-guard", "sim",
-                   {{"events", std::to_string(n)}});
+                   {{"events", n}});
       util::LogLine(util::LogLevel::kWarn, now_, "sim")
           << "run_all stopped after " << n << " events (runaway guard)";
       return;

@@ -203,7 +203,7 @@ TrialResult run_trial(const TrialSpec& spec) {
   // per run), so repeated trials starting at t=0 do not overlap.
   obs::next_run();
   obs::instant(util::TimePoint::origin(), "sim", "trial.start", "trial",
-               {{"seed", std::to_string(spec.seed)},
+               {{"seed", spec.seed},
                 {"component", spec.fail_component},
                 {"oracle", to_string(spec.oracle)}});
 
@@ -340,7 +340,7 @@ TrialResult run_trial(const TrialSpec& spec) {
     // closes the last recovery action's execution phase in the trace,
     // covering post-restart readiness work like the §4.3 resync.
     obs::instant(sim.now(), "sim", "trial.recovered", "trial",
-                 {{"recovery", util::format_fixed(result.recovery.to_seconds(), 6)}});
+                 {{"recovery", obs::Fixed{result.recovery.to_seconds(), 6}}});
     obs::observe("trial.recovery_seconds", result.recovery.to_seconds());
   }
 

@@ -34,8 +34,10 @@ void ProcessManager::soft_recover(const std::string& component,
   assert(station_.component(component) != nullptr &&
          "soft_recover: unknown component");
   const std::string name = component;
-  const std::uint64_t span = obs::begin_span(
-      station_.sim().now(), "restart", "soft:" + name, "pm");
+  const std::uint64_t span =
+      obs::enabled()
+          ? obs::begin_span(station_.sim().now(), "restart", "soft:" + name, "pm")
+          : 0;
   station_.sim().schedule_after(
       station_.cal().soft_recovery_duration, "soft-recover:" + name,
       [this, name, span, on_complete = std::move(on_complete)] {
@@ -256,25 +258,27 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
   const double reload = warm ? policy.reload_factor(warm_tier) : 1.0;
   const Duration startup = Duration::seconds(base * contention * reload);
 
-  // The epoch lets the trace checker prove supersede order: attempts of one
-  // component must carry strictly increasing epochs within a run.
-  std::vector<obs::TraceArg> span_args = {
-      {"component", name},
-      {"attempt", std::to_string(attempt)},
-      {"epoch", std::to_string(epoch)},
-      {"contention", util::format_fixed(contention, 3)}};
-  if (policy.enabled) {
-    // Warm/cold annotation only under the policy, so legacy traces stay
-    // byte-identical to the seed's.
-    span_args.push_back({"start", warm ? "warm" : "cold"});
-    if (warm) {
-      span_args.push_back({"warm_tier", std::string(core::to_string(warm_tier))});
-    } else {
-      span_args.push_back({"cold_reason", cold_reason});
+  proc.span = 0;
+  if (obs::enabled()) {
+    // The epoch lets the trace checker prove supersede order: attempts of
+    // one component must carry strictly increasing epochs within a run.
+    std::vector<obs::Arg> span_args = {{"component", name},
+                                       {"attempt", attempt},
+                                       {"epoch", epoch},
+                                       {"contention", obs::Fixed{contention, 3}}};
+    if (policy.enabled) {
+      // Warm/cold annotation only under the policy, so legacy traces stay
+      // byte-identical to the seed's.
+      span_args.push_back({"start", warm ? "warm" : "cold"});
+      if (warm) {
+        span_args.push_back({"warm_tier", core::to_string(warm_tier)});
+      } else {
+        span_args.push_back({"cold_reason", cold_reason});
+      }
     }
+    proc.span = obs::begin_span(station_.sim().now(), "restart", "restart:" + name,
+                                "pm", span_args);
   }
-  proc.span = obs::begin_span(station_.sim().now(), "restart",
-                              "restart:" + name, "pm", std::move(span_args));
   obs::incr("pm.restarts");
 
   if (hang) {

@@ -192,7 +192,7 @@ void WorkloadDriver::resolve(Request request, bool served,
   if (request.trace_span != 0) {
     obs::end_span(sim_.now(), request.trace_span,
                   {{"outcome", served ? "served" : "lost"},
-                   {"attempts", std::to_string(record.attempts)},
+                   {"attempts", record.attempts},
                    {"detail", record.detail}});
   }
 

@@ -163,6 +163,7 @@ std::vector<station::TrialSpec> sample_specs() {
 /// Merged trace and result line of the sample batch at a job count.
 struct BatchOutput {
   std::string trace;
+  std::string chrome;
   std::string results;
 };
 
@@ -181,7 +182,9 @@ BatchOutput run_sample_batch(const char* jobs) {
   results << "\n";
   std::ostringstream trace;
   recorder.write_jsonl(trace);
-  return {trace.str(), results.str()};
+  std::ostringstream chrome;
+  recorder.write_chrome_trace(chrome);
+  return {trace.str(), chrome.str(), results.str()};
 }
 
 TEST(ExperimentRunner, BatchByteIdenticalAcrossJobCounts) {
@@ -203,34 +206,41 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(ExperimentRunner, GoldenBatchByteIdenticalToCommittedFixture) {
-  // Determinism lock-down (ISSUE 10): the sample batch's merged trace and
-  // result line must reproduce the committed fixtures byte for byte, at any
-  // job count. The fixtures were captured from the pre-optimization seed
-  // build, so this pins the full observable contract — event timestamps,
-  // (at, seq) pop order, routing, span/run rebasing in the merge — across
-  // every hot-path rewrite, present and future. If a change legitimately
-  // alters the trace (new events, schema change), regenerate the fixtures
-  // with a serial run (MERCURY_REGEN_GOLDEN=1) and say so in the PR.
+  // Determinism lock-down: the sample batch's merged trace (both
+  // export formats) and result line must reproduce the committed fixtures
+  // byte for byte, at any job count. The JSONL and result fixtures were
+  // captured from the pre-optimization seed build and the Chrome fixture
+  // from the last build with string-backed trace events, so this pins the
+  // full observable contract — event timestamps, (at, seq) pop order,
+  // routing, span/run rebasing in the merge, arg formatting — across every
+  // hot-path rewrite, present and future. If a change legitimately alters
+  // the trace (new events, schema change), regenerate the fixtures with a
+  // serial run (MERCURY_REGEN_GOLDEN=1) and record why with the change.
   const std::string data_dir = MERCURY_TEST_DATA_DIR;
   const std::string trace_path = data_dir + "/golden_batch.trace.jsonl";
+  const std::string chrome_path = data_dir + "/golden_batch.trace.json";
   const std::string results_path = data_dir + "/golden_batch.results.txt";
   if (std::getenv("MERCURY_REGEN_GOLDEN") != nullptr) {
     const BatchOutput serial = run_sample_batch("1");
     std::ofstream(trace_path, std::ios::binary) << serial.trace;
+    std::ofstream(chrome_path, std::ios::binary) << serial.chrome;
     std::ofstream(results_path, std::ios::binary) << serial.results;
   }
   const std::string regenerate =
-      " is missing or empty; regenerate both fixtures with a serial run: "
+      " is missing or empty; regenerate the fixtures with a serial run: "
       "MERCURY_REGEN_GOLDEN=1 build/tests/test_experiment_runner "
       "--gtest_filter=ExperimentRunner.GoldenBatchByteIdenticalToCommittedFixture";
   const std::string golden_trace = read_file(trace_path);
+  const std::string golden_chrome = read_file(chrome_path);
   const std::string golden_results = read_file(results_path);
   ASSERT_FALSE(golden_trace.empty()) << trace_path << regenerate;
+  ASSERT_FALSE(golden_chrome.empty()) << chrome_path << regenerate;
   ASSERT_FALSE(golden_results.empty()) << results_path << regenerate;
 
   for (const char* jobs : {"1", "2", "8"}) {
     const BatchOutput batch = run_sample_batch(jobs);
     EXPECT_EQ(batch.trace, golden_trace) << "MERCURY_JOBS=" << jobs;
+    EXPECT_EQ(batch.chrome, golden_chrome) << "MERCURY_JOBS=" << jobs;
     EXPECT_EQ(batch.results, golden_results) << "MERCURY_JOBS=" << jobs;
   }
 }

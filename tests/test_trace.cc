@@ -3,14 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "core/mercury_trees.h"
 #include "core/transformations.h"
 #include "obs/phases.h"
 #include "obs/trace.h"
+#include "sim/simulator.h"
 #include "station/experiment.h"
+#include "station/fault_injector.h"
+#include "station/station.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace mercury::obs {
 namespace {
@@ -109,7 +118,7 @@ TEST(EventBuffer, IndexingAndIterationCrossChunkBoundaries) {
   for (std::size_t i = 0; i < total; ++i) {
     TraceEvent event;
     event.t = static_cast<double>(i);
-    event.name = "e" + std::to_string(i);
+    event.name = Label("e" + std::to_string(i));
     buffer.push_back(std::move(event));
   }
   ASSERT_EQ(buffer.size(), total);
@@ -209,7 +218,7 @@ TEST(TraceExport, JsonlRoundTripReproducesEvents) {
     ASSERT_EQ(a.args.size(), b.args.size()) << i;
     for (std::size_t j = 0; j < a.args.size(); ++j) {
       EXPECT_EQ(a.args[j].key, b.args[j].key);
-      EXPECT_EQ(a.args[j].value, b.args[j].value);
+      EXPECT_EQ(a.args[j].value(), b.args[j].value());
     }
   }
 }
@@ -487,6 +496,237 @@ TEST_F(TracedTrial, JsonlRoundTripPreservesPhases) {
   ASSERT_EQ(rows.size(), 1u);
   const double measured = result.recovery.to_seconds();
   EXPECT_NEAR(rows[0].end_to_end(), measured, 0.01 * measured);
+}
+
+// --- Compact events: interned labels and typed args ----------------------
+// Events store labels as intern-pool handles and numeric args as numbers;
+// only the exporters format them. These pin each format to its reference
+// (std::to_string, util::format_fixed, printf "%.9g").
+
+/// The exported (unquoted) text of a single recorded arg.
+std::string recorded_value(Arg arg) {
+  TraceRecorder rec;
+  rec.instant(0.0, "c", "n", "t", {arg});
+  return rec.events()[0].args[0].value();
+}
+
+TEST(TraceArgFormat, IntegersFormatLikeToString) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42}, std::uint64_t{1000000},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_EQ(recorded_value({"k", v}), std::to_string(v));
+  }
+  for (const std::int64_t v :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{7}, std::int64_t{-123456789},
+        std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_EQ(recorded_value({"k", v}), std::to_string(v));
+  }
+  for (const int v : {0, 3, -3, std::numeric_limits<int>::max(), std::numeric_limits<int>::min()}) {
+    EXPECT_EQ(recorded_value({"k", v}), std::to_string(v));
+  }
+  EXPECT_EQ(recorded_value({"k", std::size_t{17}}), std::to_string(std::size_t{17}));
+}
+
+TEST(TraceArgFormat, FixedFormatsLikeFormatFixed) {
+  std::vector<double> values = {0.0,     -0.0,     0.5,        1.5,       2.5,
+                                -2.5,    0.125,    0.0625,     1.0005,    2.675,
+                                0.05,    -0.05,    0.0000005,  -0.0000005, 1e-7,
+                                123456789.123456789, -987654.3210987,
+                                1e15,    1e21,     -1e22,      1e300,     -1e300,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  util::Rng rng(2024);
+  for (int i = 0; i < 500; ++i) {
+    values.push_back(rng.uniform(-1e6, 1e6));
+    values.push_back(rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-9.0, 9.0)));
+  }
+  for (const int precision : {0, 1, 3, 6}) {
+    for (const double v : values) {
+      EXPECT_EQ(recorded_value({"k", Fixed{v, precision}}), util::format_fixed(v, precision))
+          << "value " << v << " precision " << precision;
+    }
+  }
+}
+
+TEST(TraceArgFormat, CounterValuesFormatLikePercentNineG) {
+  std::vector<double> values = {0.0,    -0.0,   1.0,        3.0,      0.1,
+                                1.0 / 3, -2.5,   123456789.0, 1234567890.0,
+                                1e-5,   1e-300, 6.02214076e23,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity()};
+  util::Rng rng(7);
+  for (int i = 0; i < 500; ++i) {
+    values.push_back(rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 12.0)));
+  }
+  for (const double v : values) {
+    TraceRecorder rec;
+    rec.counter(0.0, "active", v, "board");
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%.9g", v);
+    EXPECT_EQ(rec.events()[0].arg_or("value"), expected) << v;
+  }
+}
+
+TEST(TraceArgFormat, TypedReadsSeeTheEmittedNumbers) {
+  TraceRecorder rec;
+  rec.instant(0.0, "c", "n", "t",
+              {{"id", std::uint64_t{12345678901234}}, {"recovery", Fixed{21.1234567, 6}},
+               {"label", "ses"}, {"digits", "77"}});
+  const TraceEvent& event = rec.events()[0];
+  std::uint64_t id = 0;
+  ASSERT_TRUE(event.find_arg(Label("id"))->to_u64(id));
+  EXPECT_EQ(id, 12345678901234u);
+  double recovery = 0.0;
+  ASSERT_TRUE(event.find_arg(Label("recovery"))->to_double(recovery));
+  EXPECT_EQ(recovery, 21.1234567);  // full precision, not the 6-digit text
+  EXPECT_EQ(event.text_arg(Label("label")), Label("ses"));
+  EXPECT_TRUE(event.text_arg(Label("id")).empty());  // typed, not a string
+  EXPECT_TRUE(event.text_arg(Label("missing")).empty());
+  // String values still read as numbers (traces re-read from JSONL).
+  std::uint64_t digits = 0;
+  ASSERT_TRUE(event.find_arg(Label("digits"))->to_u64(digits));
+  EXPECT_EQ(digits, 77u);
+  EXPECT_FALSE(event.find_arg(Label("label"))->to_u64(digits));
+  EXPECT_EQ(event.find_arg(Label("missing")), nullptr);
+}
+
+TEST(TraceLabel, InternsOnceAndComparesByHandle) {
+  const Label a("rec.restart");
+  const Label b(std::string("rec.") + "restart");
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, Label("rec.soft"));
+  EXPECT_EQ(a, "rec.restart");
+  EXPECT_EQ(Label().id(), 0u);
+  EXPECT_TRUE(Label("").empty());
+  // Converts like the std::string it replaced.
+  const std::string& text = a;
+  const std::string_view view = a;
+  EXPECT_EQ(text, "rec.restart");
+  EXPECT_EQ(view, "rec.restart");
+  EXPECT_EQ(Label("tab\there \"q\"").escaped(), "tab\\there \\\"q\\\"");
+}
+
+TEST(TraceEventCopy, CopiesOwnTheirArgsAndOutliveTheRecorder) {
+  std::vector<TraceEvent> copies;
+  {
+    TraceRecorder rec;
+    rec.instant(1.0, "fault", "fault.manifest", "board",
+                {{"manifest", "ses"}, {"id", std::uint64_t{9}}});
+    copies = rec.events().to_vector();
+    TraceEvent assigned;
+    assigned = rec.events()[0];
+    copies.push_back(assigned);
+  }
+  ASSERT_EQ(copies.size(), 2u);
+  for (const TraceEvent& event : copies) {
+    EXPECT_EQ(event.name, "fault.manifest");
+    EXPECT_EQ(event.arg_or("manifest"), "ses");
+    EXPECT_EQ(event.arg_or("id"), "9");
+  }
+}
+
+TEST(TraceExport, GoldenJsonlRereadAndRewrittenIsByteIdentical) {
+  const std::string path = std::string(MERCURY_TEST_DATA_DIR) + "/golden_batch.trace.jsonl";
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream golden;
+  golden << file.rdbuf();
+  ASSERT_FALSE(golden.str().empty()) << path;
+  std::istringstream in(golden.str());
+  const std::vector<TraceEvent> events = read_jsonl(in);
+  ASSERT_FALSE(events.empty());
+  std::ostringstream rewritten;
+  write_jsonl(events, rewritten);
+  EXPECT_EQ(rewritten.str(), golden.str());
+}
+
+/// One synthetic trial whose labels are private to `tag` (so recorders
+/// merged together carry different label sets).
+void record_trial(TraceRecorder& rec, const std::string& tag, int index) {
+  rec.next_run();
+  rec.instant(0.0, "sim", "trial.start", "trial",
+              {{"seed", index}, {"component", "comp-" + tag}});
+  const std::uint64_t span =
+      rec.begin(0.5, "recover", "rec.restart", "rec-" + tag,
+                {{"cell", "R_" + tag}, {"escalation", index % 3}});
+  rec.instant(0.75, "fault", "fault." + tag, "board",
+              {{"id", std::uint64_t(index)}, {"delay_s", Fixed{0.25 * index, 3}}});
+  rec.counter(0.8, "gauge-" + tag, 1.0 / (index + 1), "board");
+  rec.end(1.0 + index, span, {{"outcome", "ready-" + tag}});
+  rec.incr("restarts." + tag);
+  rec.observe("recovery_s", 1.0 + index);
+}
+
+TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
+  const std::vector<std::string> tags = {"alpha", "beta", "gamma", "alpha", "delta"};
+  TraceRecorder serial;
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    record_trial(serial, tags[i], static_cast<int>(i));
+  }
+  TraceRecorder copied;
+  TraceRecorder spliced;
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    TraceRecorder a;
+    record_trial(a, tags[i], static_cast<int>(i));
+    copied.merge_from(a);
+    TraceRecorder b;
+    record_trial(b, tags[i], static_cast<int>(i));
+    spliced.merge_from(std::move(b));
+  }
+  const auto jsonl = [](const TraceRecorder& rec) {
+    std::ostringstream out;
+    rec.write_jsonl(out);
+    return out.str();
+  };
+  const auto chrome = [](const TraceRecorder& rec) {
+    std::ostringstream out;
+    rec.write_chrome_trace(out);
+    return out.str();
+  };
+  EXPECT_EQ(jsonl(copied), jsonl(serial));
+  EXPECT_EQ(jsonl(spliced), jsonl(serial));
+  EXPECT_EQ(chrome(copied), chrome(serial));
+  EXPECT_EQ(chrome(spliced), chrome(serial));
+  EXPECT_EQ(copied.counters(), serial.counters());
+  EXPECT_EQ(spliced.counters(), serial.counters());
+}
+
+/// Record `days` of the Table-1 station (fused fedrcom, Table-1 fault
+/// rates, no repair loop) and return the recorder's event count.
+std::size_t record_table1_days(double days) {
+  station::StationConfig config;
+  config.split_fedrcom = false;
+  config.enable_domain_behavior = false;
+  station::InjectorConfig injector_config;
+  injector_config.suppress_double_faults = false;
+  injector_config.fedr_weibull_shape = 1.0;
+  TraceRecorder rec;
+  ScopedRecorder scope(rec);
+  sim::Simulator sim(17);
+  station::Station station(sim, config);
+  // The vocabulary a run may legitimately add: every component can be a
+  // fault's manifest or cure set, however rare its faults are.
+  for (const std::string& name : station.component_names()) Label{name};
+  station::FaultInjector injector(station, injector_config);
+  station.boot_instant();
+  injector.start();
+  sim.run_for(util::Duration::days(days));
+  return rec.events().size();
+}
+
+TEST(TraceFootprint, InternPoolDoesNotGrowWithEventCount) {
+  // A value interned per event (a fault id as a string, say) would grow the
+  // process-wide pool without bound; the pool must depend only on the set
+  // of distinct labels, which two simulated years do not widen.
+  const std::size_t short_events = record_table1_days(30.0);
+  const std::size_t after_short = interned_label_count();
+  const std::size_t long_events = record_table1_days(730.0);
+  const std::size_t after_long = interned_label_count();
+  EXPECT_GT(long_events, 10 * short_events);
+  EXPECT_EQ(after_long, after_short);
 }
 
 }  // namespace

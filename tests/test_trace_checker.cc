@@ -21,9 +21,9 @@ TraceEvent event(double t, EventKind kind, std::string category,
   TraceEvent e;
   e.t = t;
   e.kind = kind;
-  e.category = std::move(category);
-  e.name = std::move(name);
-  e.track = std::move(track);
+  e.category = Label(category);
+  e.name = Label(name);
+  e.track = Label(track);
   e.run = run;
   e.span = span;
   e.args = std::move(args);
