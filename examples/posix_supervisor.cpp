@@ -4,9 +4,10 @@
 //
 // Three real child processes — a fast "estimator", a fast "tracker"
 // (sharing a consolidated cell, like ses/str), and a slow "proxy" (like
-// pbcom) — supervised with liveness pings over pipes. We SIGKILL the
-// tracker out-of-band and then WEDGE the proxy (fail-silent without a
-// process death), and watch the same restart-tree machinery that ran the
+// pbcom) — supervised over pipes. We SIGKILL the tracker out-of-band (its
+// pipe hangs up, which reports it at once) and then WEDGE the proxy
+// (fail-silent without a process death, so only a missed ping reveals it),
+// and watch the same restart-tree machinery that ran the
 // simulation recover real PIDs. Timings are wall-clock milliseconds.
 #include <cstdio>
 #include <cstdlib>

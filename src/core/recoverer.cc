@@ -377,9 +377,11 @@ void Recoverer::park(const std::string& component, const std::string& reason,
                   {"masked", util::join(to_mask, ",")}});
   }
   obs::incr("rec.parked");
-  LogLine(LogLevel::kError, sim_.now(), "rec")
-      << "parked " << util::join(to_mask, ",") << " (" << reason
-      << "); operating degraded until operator intervention";
+  if (util::log_enabled(LogLevel::kError)) {
+    LogLine(LogLevel::kError, sim_.now(), "rec")
+        << "parked " << util::join(to_mask, ",") << " (" << reason
+        << "); operating degraded until operator intervention";
+  }
   // Permanent FD mask: the station keeps running without the parked cell
   // instead of detect/restart-looping it. send_mask never unmasks parked
   // components again.
@@ -507,9 +509,11 @@ void Recoverer::execute(Action restart) {
                   {"cell", tree_.cell(restart.node).label},
                   {"delay_s", obs::Fixed{delay.to_seconds(), 3}}});
     obs::incr("rec.backoffs");
-    LogLine(LogLevel::kInfo, sim_.now(), "rec")
-        << "backing off " << util::format_fixed(delay.to_seconds(), 3)
-        << " s before restarting cell " << tree_.cell(restart.node).label;
+    if (util::log_enabled(LogLevel::kInfo)) {
+      LogLine(LogLevel::kInfo, sim_.now(), "rec")
+          << "backing off " << util::format_fixed(delay.to_seconds(), 3)
+          << " s before restarting cell " << tree_.cell(restart.node).label;
+    }
     actions_.emplace(action_id, std::move(restart));
     note_in_flight_peak();
     sim_.schedule_after(delay, "rec.backoff", [this, action_id] {
@@ -563,13 +567,16 @@ void Recoverer::dispatch(std::uint64_t action_id) {
   if (it == actions_.end()) return;
   Action& restart = it->second;
   restart.dispatched = true;
-  LogLine(LogLevel::kInfo, sim_.now(), "rec")
-      << "restarting cell " << tree_.cell(restart.node).label << " ("
-      << util::join(restart.components, ",") << ") for failure of "
-      << restart.reported_component
-      << (restart.escalation_level > 0
-              ? " [escalation level " + std::to_string(restart.escalation_level) + "]"
-              : "");
+  if (util::log_enabled(LogLevel::kInfo)) {
+    LogLine(LogLevel::kInfo, sim_.now(), "rec")
+        << "restarting cell " << tree_.cell(restart.node).label << " ("
+        << util::join(restart.components, ",") << ") for failure of "
+        << restart.reported_component
+        << (restart.escalation_level > 0
+                ? " [escalation level " +
+                      std::to_string(restart.escalation_level) + "]"
+                : "");
+  }
 
   restart.trace_span =
       obs::enabled()

@@ -67,6 +67,7 @@ ChildProcess::ChildProcess(ChildProcess&& other) noexcept
       stdin_fd_(std::exchange(other.stdin_fd_, -1)),
       stdout_fd_(std::exchange(other.stdout_fd_, -1)),
       reaped_(std::exchange(other.reaped_, true)),
+      hung_up_(std::exchange(other.hung_up_, false)),
       buffer_(std::move(other.buffer_)) {}
 
 ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
@@ -77,6 +78,7 @@ ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
     stdin_fd_ = std::exchange(other.stdin_fd_, -1);
     stdout_fd_ = std::exchange(other.stdout_fd_, -1);
     reaped_ = std::exchange(other.reaped_, true);
+    hung_up_ = std::exchange(other.hung_up_, false);
     buffer_ = std::move(other.buffer_);
   }
   return *this;
@@ -126,7 +128,8 @@ std::vector<std::string> ChildProcess::read_lines() {
   char chunk[4096];
   while (true) {
     const ssize_t n = read(stdout_fd_, chunk, sizeof(chunk));
-    if (n <= 0) break;  // EAGAIN, EOF, or error — all end the drain
+    if (n == 0) hung_up_ = true;  // EOF: every writer of the pipe is gone
+    if (n <= 0) break;  // EOF, EAGAIN (nothing yet) or error ends the drain
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
   std::size_t start = 0;

@@ -48,6 +48,11 @@ class ChildProcess {
   /// Drain available stdout and return complete lines (non-blocking).
   std::vector<std::string> read_lines();
 
+  /// True once read_lines() has seen EOF on stdout: the child exited (or
+  /// closed its stdout), and no further line will ever arrive. A wedged but
+  /// living child never hangs up.
+  bool hung_up() const { return hung_up_; }
+
  private:
   ChildProcess(pid_t pid, int stdin_fd, int stdout_fd);
   void close_fds();
@@ -56,6 +61,7 @@ class ChildProcess {
   int stdin_fd_ = -1;
   int stdout_fd_ = -1;
   bool reaped_ = false;
+  bool hung_up_ = false;
   std::string buffer_;
 };
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "posix/checkpoint_file.h"
@@ -29,8 +30,13 @@ util::TimePoint log_now(Clock::time_point start) {
 
 const Clock::time_point kProcessStart = Clock::now();
 
-void log_info(const std::string& who, const std::string& what) {
-  util::LogLine(util::LogLevel::kInfo, log_now(kProcessStart), who) << what;
+/// Info line whose parts are streamed one after another; under a quieter
+/// logger nothing is concatenated or formatted.
+template <typename... Parts>
+void log_info(std::string_view who, const Parts&... parts) {
+  if (!util::log_enabled(util::LogLevel::kInfo)) return;
+  util::LogLine line(util::LogLevel::kInfo, log_now(kProcessStart), who);
+  (line << ... << parts);
 }
 
 /// Trace timestamps on this backend are wall-clock seconds since process
@@ -154,7 +160,7 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
   worker.outstanding_seq = 0;
   auto spawned = ChildProcess::spawn(worker.spec.argv);
   if (!spawned.ok()) {
-    log_info(worker.spec.name, "spawn failed: " + spawned.error().message());
+    log_info(worker.spec.name, "spawn failed: ", spawned.error().message());
     return;
   }
   worker.process.emplace(std::move(spawned).value());
@@ -203,11 +209,12 @@ void PosixSupervisor::sync() {
 
 void PosixSupervisor::pump(Millis max_wait) {
   // Wait for child output, the loop's tick, or REC's next timer, whichever
-  // is soonest.
+  // is soonest. A hung-up pipe has nothing left to read and would make
+  // poll() return at once on every pass, so it stays out of the set.
   std::vector<pollfd> fds;
   std::vector<Worker*> fd_owners;
   for (auto& [name, worker] : workers_) {
-    if (worker.process.has_value()) {
+    if (worker.process.has_value() && !worker.process->hung_up()) {
       fds.push_back(pollfd{worker.process->stdout_fd(), POLLIN, 0});
       fd_owners.push_back(&worker);
     }
@@ -222,7 +229,7 @@ void PosixSupervisor::pump(Millis max_wait) {
     // A real poll failure (EBADF from a raced-away fd, ENOMEM, ...) must not
     // kill the supervision loop — the drains below are non-blocking and the
     // deadline checks still have to run. EINTR is routine (signals).
-    log_info("supervisor", std::string("poll failed: ") + std::strerror(errno));
+    log_info("supervisor", "poll failed: ", std::strerror(errno));
   }
 
   for (Worker* worker : fd_owners) drain_worker(*worker);
@@ -288,8 +295,16 @@ void PosixSupervisor::detect() {
   const auto now = Clock::now();
   for (auto& [name, worker] : workers_) {
     // Workers REC is restarting are its business: its restart deadline
-    // covers their startup.
+    // covers their startup, even one that dies before READY.
     if (masked_.contains(name)) continue;
+    if (worker.state != WorkerState::kDown && worker.process.has_value() &&
+        worker.process->hung_up()) {
+      // EOF on stdout: the process is gone, and the kernel said so at once.
+      // Report it now instead of after an unanswered ping.
+      worker.state = WorkerState::kDown;
+      report(worker, "exited");
+      continue;
+    }
     if (worker.state == WorkerState::kStarting && now >= worker.ready_deadline) {
       // A startup outside any action (start_all) hung past the deadline.
       worker.state = WorkerState::kDown;
@@ -319,7 +334,7 @@ void PosixSupervisor::detect() {
 
 void PosixSupervisor::report(Worker& worker, const char* cause) {
   const std::string& name = worker.spec.name;
-  log_info(name, std::string(cause) + "; reporting failure");
+  log_info(name, cause, "; reporting failure");
   obs::instant(sim_.now(), "detect", "fd.report", "posix",
                {{"component", name}, {"cause", cause}});
   obs::incr("fd.reports");
@@ -365,8 +380,8 @@ void PosixSupervisor::check_health_policy() {
     const double memory_mb = *worker.memory_mb;
     // REC declines while interfering reactive work is in flight.
     if (!rec_.planned_restart(name)) continue;
-    log_info(name, "memory " + util::format_fixed(memory_mb, 1) +
-                       " MB over limit; proactive rejuvenation (§7)");
+    log_info(name, "memory ", util::format_fixed(memory_mb, 1),
+             " MB over limit; proactive rejuvenation (§7)");
     obs::instant(sim_.now(), "recover", "rec.rejuvenate", "posix",
                  {{"component", name},
                   {"mem_mb", obs::Fixed{memory_mb, 1}}});
@@ -399,7 +414,7 @@ bool PosixSupervisor::all_up() const {
 bool PosixSupervisor::kill_worker(const std::string& name) {
   const auto it = workers_.find(name);
   if (it == workers_.end()) {
-    log_info("supervisor", "kill_worker: no such worker '" + name + "'");
+    log_info("supervisor", "kill_worker: no such worker '", name, "'");
     return false;
   }
   Worker& worker = it->second;
@@ -407,15 +422,16 @@ bool PosixSupervisor::kill_worker(const std::string& name) {
   obs::instant(trace_now(), "fault", "fault.manifest", "posix",
                {{"manifest", name}, {"kind", "sigkill"}});
   obs::incr("faults.injected");
-  // State stays kUp: the supervisor has not *detected* anything yet — that
-  // is the failure detector's job (fail-silent semantics).
+  // State stays as it is: the supervisor has not *detected* anything yet.
+  // The detector sees the pipe hang up on its next pass and reports it,
+  // unless REC has masked the worker for a restart of its own.
   return true;
 }
 
 bool PosixSupervisor::wedge_worker(const std::string& name) {
   const auto it = workers_.find(name);
   if (it == workers_.end()) {
-    log_info("supervisor", "wedge_worker: no such worker '" + name + "'");
+    log_info("supervisor", "wedge_worker: no such worker '", name, "'");
     return false;
   }
   Worker& worker = it->second;

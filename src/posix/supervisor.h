@@ -9,11 +9,14 @@
 //     seconds since process start before any input reaches REC, holds REC's
 //     timers (restart deadlines, backoff, lazy drain, oracle feedback); the
 //     poll() timeout is capped by its next event;
-//   * failure detector — each worker is pinged over its stdin/stdout pipes
-//     ("PING n"/"PONG n"); a missed pong, or a startup that outlives REC's
-//     restart_deadline outside any action, is sent to REC as report-failure
-//     over a zero-latency bus::DedicatedLink, and REC's mask/unmask commands
-//     on the same link silence detection of groups it is restarting;
+//   * failure detector — a worker that exits is reported as soon as its
+//     stdout pipe hangs up (EOF). A worker that is alive but silent (wedged)
+//     is caught by pings over its stdin/stdout pipes ("PING n"/"PONG n")
+//     and a missed pong; a startup that outlives REC's restart_deadline
+//     outside any action is reported too. Reports go to REC as
+//     report-failure over a zero-latency bus::DedicatedLink, and REC's
+//     mask/unmask commands on the same link silence detection of groups it
+//     is restarting;
 //   * process control — core::ProcessControl::restart_group SIGKILLs and
 //     respawns the group (through the checkpoint gate) and completes once
 //     every member has printed READY.
@@ -112,8 +115,9 @@ class PosixSupervisor : private core::ProcessControl {
   // --- Introspection / fault injection for tests --------------------------
   bool worker_up(const std::string& name) const;
   bool all_up() const;
-  /// SIGKILL a worker out-of-band (external fault injection). Returns false
-  /// (and logs) for a name the supervisor does not manage.
+  /// SIGKILL a worker out-of-band (external fault injection). The detector
+  /// finds the death on its next pass, through the pipe hangup. Returns
+  /// false (and logs) for a name the supervisor does not manage.
   bool kill_worker(const std::string& name);
   /// Make a worker fail-silent without killing its process. Returns false
   /// (and logs) for a name the supervisor does not manage.

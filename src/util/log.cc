@@ -43,9 +43,7 @@ void Logger::log(LogLevel level, TimePoint t, std::string_view component,
 }
 
 LogLine::~LogLine() {
-  if (Logger::instance().enabled(level_)) {
-    Logger::instance().log(level_, t_, component_, os_.str());
-  }
+  if (os_) Logger::instance().log(level_, t_, component_, os_->str());
 }
 
 }  // namespace mercury::util

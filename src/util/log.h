@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -45,18 +46,30 @@ class Logger {
   Sink sink_;
 };
 
+/// True when a line at `level` would be written. Guard a log statement with
+/// it when computing its arguments costs something (joins, formatting).
+inline bool log_enabled(LogLevel level) {
+  return Logger::instance().enabled(level);
+}
+
 /// Stream-style helper: LogLine(kInfo, now, "ses") << "locked on pass";
+/// A line whose level is disabled copies nothing, constructs no stream and
+/// formats nothing.
 class LogLine {
  public:
   LogLine(LogLevel level, TimePoint t, std::string_view component)
-      : level_(level), t_(t), component_(component) {}
+      : level_(level), t_(t) {
+    if (!log_enabled(level)) return;
+    component_ = component;
+    os_.emplace();
+  }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
   ~LogLine();
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (Logger::instance().enabled(level_)) os_ << v;
+    if (os_) *os_ << v;
     return *this;
   }
 
@@ -64,7 +77,7 @@ class LogLine {
   LogLevel level_;
   TimePoint t_;
   std::string component_;
-  std::ostringstream os_;
+  std::optional<std::ostringstream> os_;
 };
 
 }  // namespace mercury::util

@@ -5,6 +5,7 @@
 // ping period 60 ms.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -97,6 +98,53 @@ TEST(ChildProcess, WedgedWorkerStopsAnswering) {
   EXPECT_TRUE(child.running());  // fail-silent, not dead
 }
 
+TEST(ChildProcess, HangsUpOnExitNotOnWedge) {
+  // Drain until `child` hangs up or ~0.5 s passes.
+  const auto drain_until_hangup = [](ChildProcess& child) {
+    for (int i = 0; i < 50 && !child.hung_up(); ++i) {
+      usleep(10'000);
+      child.read_lines();
+    }
+    return child.hung_up();
+  };
+  const auto spawn_ready = [] {
+    auto spawned =
+        ChildProcess::spawn({kWorker, "--name", "w", "--startup-ms", "10"});
+    EXPECT_TRUE(spawned.ok());
+    ChildProcess child = std::move(spawned).value();
+    for (int i = 0; i < 100; ++i) {
+      usleep(5'000);
+      const auto lines = child.read_lines();
+      if (std::find(lines.begin(), lines.end(), "READY w") != lines.end()) break;
+    }
+    return child;
+  };
+
+  // A wedged child is silent but alive: its pipe never hangs up.
+  ChildProcess wedged = spawn_ready();
+  EXPECT_FALSE(wedged.hung_up());
+  ASSERT_TRUE(wedged.write_line("WEDGE"));
+  ASSERT_TRUE(wedged.write_line("PING 1"));
+  EXPECT_FALSE(drain_until_hangup(wedged));
+  EXPECT_TRUE(wedged.running());
+
+  // A SIGKILLed child hangs up, and a move carries the flag along.
+  ChildProcess killed = spawn_ready();
+  killed.kill_hard();
+  EXPECT_TRUE(drain_until_hangup(killed));
+  ChildProcess moved = std::move(killed);
+  EXPECT_TRUE(moved.hung_up());
+  EXPECT_FALSE(killed.hung_up());
+  ChildProcess assigned = spawn_ready();
+  assigned = std::move(moved);
+  EXPECT_TRUE(assigned.hung_up());
+
+  // So does one that exits on its own.
+  ChildProcess exiting = spawn_ready();
+  ASSERT_TRUE(exiting.write_line("EXIT"));
+  EXPECT_TRUE(drain_until_hangup(exiting));
+}
+
 // --- PosixSupervisor -----------------------------------------------------------
 
 WorkerSpec quick_worker(const std::string& name, int startup_ms,
@@ -130,6 +178,29 @@ core::RestartTree pair_and_leaf_tree() {
   return tree;
 }
 
+/// The `cause` of every posix `fd.report` about `component`, in order.
+std::vector<std::string> report_causes(const obs::TraceRecorder& recorder,
+                                       const std::string& component) {
+  std::vector<std::string> causes;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.name == "fd.report" && event.track == "posix" &&
+        event.arg_or("component") == component) {
+      causes.push_back(event.arg_or("cause"));
+    }
+  }
+  return causes;
+}
+
+/// User plus system CPU seconds this process has used so far.
+double cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 TEST(PosixSupervisor, StartAllBecomesReady) {
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
@@ -157,7 +228,8 @@ TEST(PosixSupervisor, RecoversFromExternalSigkill) {
   EXPECT_EQ(supervisor.history()[0].reported_worker, "c");
   EXPECT_EQ(supervisor.history()[0].restarted, std::vector<std::string>{"c"});
   EXPECT_EQ(supervisor.history()[0].escalation_level, 0);
-  // Downtime ~ detection (<=110 ms) + startup (70 ms) + loop slack.
+  // Downtime (report -> READY) ~ startup (70 ms) + loop slack; the pipe
+  // hangup reports the kill within a loop pass.
   EXPECT_LT(supervisor.history()[0].downtime.count(), 1000);
 }
 
@@ -178,6 +250,8 @@ TEST(PosixSupervisor, ConsolidatedCellRestartsBothWorkers) {
 }
 
 TEST(PosixSupervisor, RecoversFromWedgeWithoutProcessDeath) {
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 50), quick_worker("b", 60), quick_worker("c", 70)},
@@ -189,6 +263,70 @@ TEST(PosixSupervisor, RecoversFromWedgeWithoutProcessDeath) {
       [&] { return !supervisor.history().empty() && supervisor.all_up(); },
       Millis{3000}));
   EXPECT_EQ(supervisor.history()[0].reported_worker, "c");
+  // The wedged process never exited, so only the ping detector saw it.
+  EXPECT_EQ(report_causes(recorder, "c"), std::vector<std::string>{"missed-ping"});
+}
+
+TEST(PosixSupervisor, ExitedWorkerIsReportedWithoutAPing) {
+  // With a 10 s ping period no pong can go missing during the test: the
+  // pipe hangup alone must report the kill.
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
+  SupervisorConfig config = quick_config();
+  config.ping_period = Millis{10'000};
+  PosixSupervisor supervisor(
+      pair_and_leaf_tree(),
+      {quick_worker("a", 50), quick_worker("b", 60), quick_worker("c", 70)},
+      config);
+  ASSERT_TRUE(supervisor.start_all().ok());
+
+  supervisor.kill_worker("c");
+  ASSERT_TRUE(supervisor.run_until(
+      [&] { return supervisor.all_up() && !supervisor.history().empty(); },
+      Millis{3000}));
+  ASSERT_EQ(supervisor.history().size(), 1u);
+  EXPECT_EQ(supervisor.history()[0].restarted, std::vector<std::string>{"c"});
+  EXPECT_EQ(supervisor.pings_sent(), 0u);
+  EXPECT_EQ(report_causes(recorder, "c"), std::vector<std::string>{"exited"});
+  const std::vector<obs::TraceIssue> issues = obs::check_trace(recorder.events());
+  EXPECT_TRUE(issues.empty()) << obs::describe(issues);
+}
+
+TEST(PosixSupervisor, WorkerKilledDuringItsRestartIsLeftToTheDeadline) {
+  // c is killed, and killed again while REC's restart of R_c is still
+  // starting it. The second death happens under REC's mask: the detector
+  // must not report it, and REC's restart deadline recovers it. Meanwhile
+  // the loop must sleep, not spin on the dead worker's hung-up pipe.
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
+  SupervisorConfig config = quick_config();
+  config.restart_deadline = Millis{1000};
+  PosixSupervisor supervisor(
+      pair_and_leaf_tree(),
+      {quick_worker("a", 30), quick_worker("b", 30), quick_worker("c", 300)},
+      config);
+  ASSERT_TRUE(supervisor.start_all().ok());
+
+  supervisor.kill_worker("c");
+  ASSERT_TRUE(supervisor.run_until(
+      [&] { return supervisor.restarts_in_flight() >= 1; }, Millis{2000}));
+  supervisor.kill_worker("c");
+
+  const auto wall_start = Clock::now();
+  const double cpu_start = cpu_seconds();
+  supervisor.run_for(Millis{300});
+  const double cpu_used = cpu_seconds() - cpu_start;
+  const double wall =
+      std::chrono::duration<double>(Clock::now() - wall_start).count();
+  EXPECT_LT(cpu_used, wall / 2) << "supervision loop busy-spins";
+  EXPECT_EQ(supervisor.restart_timeouts(), 0u);
+
+  ASSERT_TRUE(supervisor.run_until(
+      [&] { return supervisor.all_up() && !supervisor.history().empty(); },
+      Millis{5000}));
+  EXPECT_GE(supervisor.restart_timeouts(), 1u);
+  EXPECT_EQ(report_causes(recorder, "c"), std::vector<std::string>{"exited"});
+  EXPECT_TRUE(supervisor.hard_failures().empty());
 }
 
 TEST(PosixSupervisor, SelfWedgingWorkerEscalatesToHardFailure) {
@@ -245,6 +383,8 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
   const std::string sentinel =
       "/tmp/mercury_hang_once_" + std::to_string(getpid());
   std::remove(sentinel.c_str());
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
 
   WorkerSpec hang = quick_worker("c", 30);
   hang.argv.push_back("--hang-start-once");
@@ -264,6 +404,10 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
   ASSERT_FALSE(supervisor.history().empty());
   EXPECT_EQ(supervisor.history()[0].reported_worker, "c");
   EXPECT_TRUE(supervisor.worker_up("c"));
+  // The hung process stayed alive: the startup deadline, not a hangup,
+  // reported it.
+  EXPECT_EQ(report_causes(recorder, "c"),
+            std::vector<std::string>{"startup-timeout"});
   std::remove(sentinel.c_str());
 }
 
@@ -360,8 +504,8 @@ TEST(PosixSupervisor, WarmRestartUsesCheckpointAndShortensDowntime) {
   ASSERT_EQ(supervisor.history().size(), 1u);
   EXPECT_GE(supervisor.checkpoints_validated(), 1u);
   EXPECT_EQ(supervisor.checkpoints_deleted(), 0u);
-  // Warm restart: detection (<=110 ms) + 50 ms warm startup + loop slack —
-  // well under even the bare 600 ms cold startup delay.
+  // Warm restart (report -> READY): 50 ms warm startup + loop slack — well
+  // under even the bare 600 ms cold startup delay.
   EXPECT_LT(supervisor.history()[0].downtime.count(), 600);
   std::remove(file.c_str());
 }
