@@ -21,12 +21,10 @@
 //   * same-seed trials produce byte-identical traces in every scheme/mix
 //     (tier faults ride the seeded rng streams, never wall clock).
 //
-// Writes BENCH_checkpoint.json (warm-hit rate + mean recovery per cell)
-// into $MERCURY_BENCH_DIR (default: the working directory) so CI can diff
-// the numbers PR over PR. MERCURY_TIERS_QUICK=1 shrinks the grid for CI.
+// Writes BENCH_checkpoint.json (warm-hit rate + recovery per cell; see
+// bench::Report), gated in CI against its committed baseline.
+// MERCURY_QUICK=1 shrinks the grid for CI.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,10 +110,7 @@ struct CellStats {
 
 int main() {
   mercury::bench::TraceSession session("bench_ablation_checkpoint_tiers");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_TIERS_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick();
   const int seeds = quick ? 5 : 25;
   const std::vector<std::string> victims = {"pbcom", "ses"};
 
@@ -240,40 +235,29 @@ int main() {
                 "the local tier is lost\n", victim.c_str(), saved);
   }
 
-  // BENCH_checkpoint.json: the perf-trajectory seed (ROADMAP "establish
-  // BENCH_*.json"). One object per grid cell; schema kept flat so CI can
-  // diff with jq.
+  // BENCH_checkpoint.json: every per-cell number, named "<cell>/<metric>".
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_checkpoint.json";
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"bench_ablation_checkpoint_tiers\",\n"
-        << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellStats& s = cells[i].second;
-      out << "    {\"cell\": \"" << cells[i].first << "\", "
-          << "\"mean_recovery_s\": "
-          << mercury::util::format_fixed(s.recovery.mean(), 4) << ", "
-          << "\"p95_recovery_s\": "
-          << mercury::util::format_fixed(
-                 s.recovery.count() > 0 ? s.recovery.percentile(95.0) : 0.0, 4)
-          << ", \"warm_hit_rate\": "
-          << mercury::util::format_fixed(s.warm_rate(), 4)
-          << ", \"warm_l0\": " << s.warm_l0 << ", \"warm_l1\": " << s.warm_l1
-          << ", \"warm_l2\": " << s.warm_l2 << ", \"cold\": " << s.cold
-          << ", \"rebuilds\": " << s.rebuilds
-          << ", \"crashes\": " << s.crashes << ", \"stalls\": " << s.stalls
-          << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    using mercury::bench::Better;
+    mercury::bench::Report report("checkpoint",
+                                  "bench_ablation_checkpoint_tiers");
+    for (const auto& [cell, s] : cells) {
+      const std::string at = cell + "/";
+      report.add(at + "mean_recovery_s", s.recovery.mean(), "s",
+                 Better::kLower);
+      report.add(at + "p95_recovery_s",
+                 s.recovery.count() > 0 ? s.recovery.percentile(95.0) : 0.0,
+                 "s", Better::kLower);
+      report.add(at + "warm_hit_rate", s.warm_rate(), "fraction",
+                 Better::kHigher);
+      report.add(at + "warm_l0", s.warm_l0, "count", Better::kHigher);
+      report.add(at + "warm_l1", s.warm_l1, "count", Better::kHigher);
+      report.add(at + "warm_l2", s.warm_l2, "count", Better::kHigher);
+      report.add(at + "cold", s.cold, "count", Better::kLower);
+      report.add(at + "rebuilds", s.rebuilds, "count", Better::kLower);
+      report.add(at + "crashes", s.crashes, "count", Better::kLower);
+      report.add(at + "stalls", s.stalls, "count", Better::kLower);
     }
-    out << "  ]\n}\n";
-    if (!out.good()) {
-      ++failures;
-      std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
-    } else {
-      std::printf("json: %s (%zu cells)\n", path.c_str(), cells.size());
-    }
+    failures += report.write();
   }
 
   std::printf("\n");

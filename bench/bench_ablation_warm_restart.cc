@@ -22,9 +22,8 @@
 //   * same-seed trials produce byte-identical traces (warm policy and
 //     damage injection ride the seeded rng streams, never wall clock).
 //
-// MERCURY_WARM_QUICK=1 shrinks the grid for CI smoke runs.
+// MERCURY_QUICK=1 shrinks the grid for CI smoke runs.
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,10 +79,7 @@ TrialSpec make_spec(MercuryTree tree, const std::string& victim,
 
 int main() {
   mercury::bench::TraceSession session("bench_ablation_warm_restart");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_WARM_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick();
   const int seeds = quick ? 5 : 25;
 
   // The chains whose cold start the paper calls out: the serial negotiator

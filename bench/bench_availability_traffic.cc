@@ -32,12 +32,10 @@
 //     traces with per-request spans pass all seven checker invariants —
 //     including phantom-goodput — in both serial and ondemand modes.
 //
-// Writes BENCH_traffic.json into $MERCURY_BENCH_DIR (default: cwd) so CI
-// can diff goodput totals PR over PR and across MERCURY_JOBS values.
-// MERCURY_TRAFFIC_QUICK=1 shrinks the grid for CI smoke.
+// Writes BENCH_traffic.json (goodput totals, dip and latency per cell; see
+// bench::Report), gated in CI against its committed baseline and diffed
+// across MERCURY_JOBS values. MERCURY_QUICK=1 shrinks the grid for CI.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -162,10 +160,7 @@ std::string tree_name(MercuryTree tree) {
 
 int main() {
   mercury::bench::TraceSession session("bench_availability_traffic");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_TRAFFIC_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick();
   const int seeds = quick ? 2 : 10;
   const std::vector<MercuryTree> trees = {MercuryTree::kTreeII,
                                           MercuryTree::kTreeIV};
@@ -355,43 +350,34 @@ int main() {
     }
   }
 
-  // BENCH_traffic.json: flat schema so CI can diff goodput totals with jq
-  // (and compare MERCURY_JOBS=2 against =1 byte for byte).
+  // BENCH_traffic.json: every per-cell number, named "<cell>/<metric>".
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_traffic.json";
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"bench_availability_traffic\",\n"
-        << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellStats& s = cells[i].second;
-      out << "    {\"cell\": \"" << cells[i].first << "\", "
-          << "\"issued\": " << s.issued << ", \"served\": " << s.served
-          << ", \"lost\": " << s.lost << ", \"retried\": " << s.retried
-          << ", \"restarting_rejections\": " << s.restarting_rejections
-          << ", \"dip_depth\": "
-          << mercury::util::format_fixed(s.dip_depth.mean(), 4)
-          << ", \"dip_width_s\": "
-          << mercury::util::format_fixed(s.dip_width_s.mean(), 4)
-          << ", \"dip_end_s\": "
-          << mercury::util::format_fixed(s.dip_end_s.mean(), 4)
-          << ", \"p50_ms\": " << mercury::util::format_fixed(s.p50_ms.mean(), 3)
-          << ", \"p99_ms\": " << mercury::util::format_fixed(s.p99_ms.mean(), 3)
-          << ", \"touch_promotions\": " << s.touch_promotions
-          << ", \"lazy_drains\": " << s.lazy_drains
-          << ", \"stalls\": " << s.stalls
-          << ", \"accounting_violations\": " << s.accounting_violations << "}"
-          << (i + 1 < cells.size() ? "," : "") << "\n";
+    using mercury::bench::Better;
+    mercury::bench::Report report("traffic", "bench_availability_traffic");
+    for (const auto& [cell, s] : cells) {
+      const std::string at = cell + "/";
+      const auto count = [&](const char* metric, std::uint64_t value,
+                             Better better) {
+        report.add(at + metric, static_cast<double>(value), "count", better);
+      };
+      count("issued", s.issued, Better::kHigher);
+      count("served", s.served, Better::kHigher);
+      count("lost", s.lost, Better::kLower);
+      count("retried", s.retried, Better::kLower);
+      count("restarting_rejections", s.restarting_rejections, Better::kLower);
+      report.add(at + "dip_depth", s.dip_depth.mean(), "fraction",
+                 Better::kLower);
+      report.add(at + "dip_width_s", s.dip_width_s.mean(), "s",
+                 Better::kLower);
+      report.add(at + "dip_end_s", s.dip_end_s.mean(), "s", Better::kLower);
+      report.add(at + "p50_ms", s.p50_ms.mean(), "ms", Better::kLower);
+      report.add(at + "p99_ms", s.p99_ms.mean(), "ms", Better::kLower);
+      count("touch_promotions", s.touch_promotions, Better::kHigher);
+      count("lazy_drains", s.lazy_drains, Better::kLower);
+      count("stalls", s.stalls, Better::kLower);
+      count("accounting_violations", s.accounting_violations, Better::kLower);
     }
-    out << "  ]\n}\n";
-    if (!out.good()) {
-      ++failures;
-      std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
-    } else {
-      std::printf("json: %s (%zu cells)\n", path.c_str(), cells.size());
-    }
+    failures += report.write();
   }
 
   std::printf("\n");

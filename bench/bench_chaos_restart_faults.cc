@@ -20,10 +20,9 @@
 // draws ride the seeded rng streams).
 //
 // Grid: >= 20 seeds x >= 6 fault mixes x both Mercury tree shapes (the fused
-// tree II and the split tree IV). MERCURY_CHAOS_QUICK=1 shrinks to 4 seeds
-// for CI smoke runs.
+// tree II and the split tree IV). MERCURY_QUICK=1 shrinks to 4 seeds for CI
+// smoke runs.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -129,10 +128,7 @@ TrialSpec make_spec(MercuryTree tree, const FaultMix& mix, std::uint64_t seed) {
 
 int main() {
   mercury::bench::TraceSession session("bench_chaos_restart_faults");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_CHAOS_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick();
   const int seeds = quick ? 4 : 20;
   const std::vector<MercuryTree> trees = {MercuryTree::kTreeII,
                                           MercuryTree::kTreeIV};

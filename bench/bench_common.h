@@ -1,4 +1,5 @@
-// Shared table-printing helpers for the reproduction benches.
+// The bench harness: tracing, quick mode, BENCH_*.json reports and
+// table-printing helpers shared by every reproduction bench.
 //
 // Each bench regenerates one table or figure from the paper, printing the
 // paper's reported value next to our measured value so the comparison is
@@ -21,6 +22,73 @@
 #include "util/strings.h"
 
 namespace mercury::bench {
+
+/// True when MERCURY_QUICK=1: every bench with a grid shrinks it to a CI
+/// smoke size. Quick runs mark their BENCH file `"quick": true`, and the
+/// gate never compares them with a full-run baseline.
+inline bool quick() {
+  const char* flag = std::getenv("MERCURY_QUICK");
+  return flag != nullptr && std::string(flag) == "1";
+}
+
+/// Which way a metric improves; bench/check_bench.py gates in the other.
+enum class Better { kLower, kHigher };
+
+/// One perf-trajectory file, $MERCURY_BENCH_DIR/BENCH_<stem>.json (default:
+/// the working directory), gated by bench/check_bench.py against
+/// bench/baselines/BENCH_<stem>.baseline.json:
+///
+///   {"bench": "<bench>", "quick": <bool>,
+///    "metrics": [{"metric": "<cell>/<name>", "value": <number>,
+///                 "unit": "<unit>", "better": "lower" | "higher"}]}
+class Report {
+ public:
+  Report(std::string stem, std::string bench)
+      : stem_(std::move(stem)), bench_(std::move(bench)) {}
+
+  void add(std::string metric, double value, std::string unit, Better better) {
+    metrics_.push_back({std::move(metric), value, std::move(unit), better});
+  }
+
+  /// Write the file and print a `json:` line. Returns 0 on success, 1 (with
+  /// a stderr message) when the file cannot be written.
+  int write() const {
+    const char* dir = std::getenv("MERCURY_BENCH_DIR");
+    const std::string path =
+        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
+        "BENCH_" + stem_ + ".json";
+    std::ofstream out(path);
+    out << "{\n  \"bench\": \"" << bench_ << "\",\n  \"quick\": "
+        << (quick() ? "true" : "false") << ",\n  \"metrics\": [\n";
+    char value[32];
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      const Metric& m = metrics_[i];
+      std::snprintf(value, sizeof(value), "%.10g", m.value);
+      out << "    {\"metric\": \"" << m.name << "\", \"value\": " << value
+          << ", \"unit\": \"" << m.unit << "\", \"better\": \""
+          << (m.better == Better::kLower ? "lower" : "higher") << "\"}"
+          << (i + 1 < metrics_.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+    if (!out.good()) {
+      std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
+      return 1;
+    }
+    std::printf("json: %s (%zu metrics)\n", path.c_str(), metrics_.size());
+    return 0;
+  }
+
+ private:
+  struct Metric {
+    std::string name;
+    double value;
+    std::string unit;
+    Better better;
+  };
+  std::string stem_;
+  std::string bench_;
+  std::vector<Metric> metrics_;
+};
 
 /// Per-bench recovery tracing (docs/TRACING.md). Construct one at the top of
 /// main(); while it lives, every recovery the bench drives is recorded (the

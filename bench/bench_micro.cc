@@ -5,28 +5,24 @@
 // Hand-rolled instead of google-benchmark (ISSUE 10): each metric is a
 // fixed, deterministic workload timed wall-clock, repeated several times,
 // best rep reported — the standard recipe for throughput numbers that are
-// stable enough to gate on. Prints a table and writes BENCH_micro.json
-// (flat schema below) into $MERCURY_BENCH_DIR (default: the working
-// directory); CI diffs it against bench/baselines/BENCH_micro.baseline.json
-// with bench/check_bench_micro.py so a hot-path regression fails the build
-// instead of landing silently.
+// stable enough to gate on. Prints a table and writes BENCH_micro.json (see
+// bench::Report), which CI gates against
+// bench/baselines/BENCH_micro.baseline.json with bench/check_bench.py so a
+// hot-path regression fails the build instead of landing silently.
 //
-//   {"bench": "bench_micro",
-//    "metrics": [{"metric": "<name>", "value": <ops/s>, "unit": "<unit>"}]}
-//
-// MERCURY_MICRO_QUICK=1 shrinks the workloads ~10x (CI smoke / sanitizer
-// jobs); the JSON is still written, so quick runs must only be compared
-// against quick baselines.
+// MERCURY_QUICK=1 shrinks the workloads ~10x (CI smoke / sanitizer jobs);
+// the JSON is still written, marked quick, and the gate never compares it
+// with the full-run baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "bus/message_bus.h"
 #include "core/mercury_trees.h"
 #include "msg/message.h"
@@ -41,21 +37,10 @@ namespace {
 
 using mercury::util::Duration;
 
-bool quick_mode() {
-  const char* flag = std::getenv("MERCURY_MICRO_QUICK");
-  return flag != nullptr && std::string(flag) == "1";
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
 }
-
-struct Metric {
-  std::string name;
-  double value = 0.0;  // throughput, higher is better
-  std::string unit;
-};
 
 /// Run `workload` `reps` times; it returns (ops, seconds). Report the best
 /// rep's ops/s — the least-interrupted run is the closest estimate of what
@@ -268,7 +253,7 @@ double bench_trials(std::size_t trials, int reps) {
 }  // namespace
 
 int main() {
-  const bool quick = quick_mode();
+  const bool quick = mercury::bench::quick();
   // Quick mode shrinks every workload ~10x: enough to exercise the paths
   // under sanitizers, far too noisy to gate on with full-run baselines.
   const std::size_t scale = quick ? 1 : 10;
@@ -277,11 +262,13 @@ int main() {
   std::printf("bench_micro: hot-path throughput (%s mode, best of %d reps)\n",
               quick ? "quick" : "full", reps);
 
-  std::vector<Metric> metrics;
-  const auto add = [&metrics](std::string name, double value, std::string unit) {
+  // Every metric is a throughput: higher is better.
+  mercury::bench::Report report("micro", "bench_micro");
+  const auto add = [&report](std::string name, double value, std::string unit) {
     std::printf("  %-28s %14.0f %s\n", name.c_str(), value, unit.c_str());
     std::fflush(stdout);
-    metrics.push_back({std::move(name), value, std::move(unit)});
+    report.add(std::move(name), value, std::move(unit),
+               mercury::bench::Better::kHigher);
   };
 
   // Warm up allocator and caches with a small untimed trial batch.
@@ -301,27 +288,5 @@ int main() {
       "roundtrips/s");
   add("trials_per_s_per_core", bench_trials(30 * scale, reps), "trials/s");
 
-  // BENCH_micro.json: the perf-trajectory record CI diffs against
-  // bench/baselines/BENCH_micro.baseline.json (see bench/check_bench_micro.py).
-  const char* dir = std::getenv("MERCURY_BENCH_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-      "BENCH_micro.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"bench_micro\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"metrics\": [\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out << "    {\"metric\": \"" << metrics[i].name << "\", \"value\": "
-        << mercury::util::format_fixed(metrics[i].value, 1) << ", \"unit\": \""
-        << metrics[i].unit << "\"}" << (i + 1 < metrics.size() ? "," : "")
-        << "\n";
-  }
-  out << "  ]\n}\n";
-  if (!out.good()) {
-    std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("json: %s (%zu metrics)\n", path.c_str(), metrics.size());
-  return 0;
+  return report.write();
 }

@@ -30,12 +30,9 @@
 //     code).
 //
 // Writes BENCH_parallel.json (mean/p95 recovery, peak concurrency, absorbs
-// per cell) into $MERCURY_BENCH_DIR (default: the working directory) so CI
-// can diff the numbers PR over PR. MERCURY_PARALLEL_QUICK=1 shrinks the
-// grid for CI.
+// per cell; see bench::Report), gated in CI against its committed baseline.
+// MERCURY_QUICK=1 shrinks the grid for CI.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -128,10 +125,7 @@ std::string tree_name(MercuryTree tree) {
 
 int main() {
   mercury::bench::TraceSession session("bench_parallel_recovery");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_PARALLEL_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick();
   const int seeds = quick ? 5 : 25;
   const std::vector<MercuryTree> trees = {MercuryTree::kTreeII,
                                           MercuryTree::kTreeIV};
@@ -301,35 +295,25 @@ int main() {
     }
   }
 
-  // BENCH_parallel.json: flat schema so CI can diff with jq.
+  // BENCH_parallel.json: every per-cell number, named "<cell>/<metric>".
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_parallel.json";
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"bench_parallel_recovery\",\n"
-        << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellStats& s = cells[i].second;
-      out << "    {\"cell\": \"" << cells[i].first << "\", "
-          << "\"mean_recovery_s\": "
-          << mercury::util::format_fixed(s.recovery.mean(), 4) << ", "
-          << "\"p95_recovery_s\": "
-          << mercury::util::format_fixed(
-                 s.recovery.count() > 0 ? s.recovery.percentile(95.0) : 0.0, 4)
-          << ", \"peak_concurrency\": " << s.peak_concurrency
-          << ", \"trials_with_overlap\": " << s.trials_with_overlap
-          << ", \"absorbed\": " << s.absorbed << ", \"stalls\": " << s.stalls
-          << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    using mercury::bench::Better;
+    mercury::bench::Report report("parallel", "bench_parallel_recovery");
+    for (const auto& [cell, s] : cells) {
+      const std::string at = cell + "/";
+      report.add(at + "mean_recovery_s", s.recovery.mean(), "s",
+                 Better::kLower);
+      report.add(at + "p95_recovery_s",
+                 s.recovery.count() > 0 ? s.recovery.percentile(95.0) : 0.0,
+                 "s", Better::kLower);
+      report.add(at + "peak_concurrency", s.peak_concurrency, "count",
+                 Better::kHigher);
+      report.add(at + "trials_with_overlap", s.trials_with_overlap, "count",
+                 Better::kHigher);
+      report.add(at + "absorbed", s.absorbed, "count", Better::kLower);
+      report.add(at + "stalls", s.stalls, "count", Better::kLower);
     }
-    out << "  ]\n}\n";
-    if (!out.good()) {
-      ++failures;
-      std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
-    } else {
-      std::printf("json: %s (%zu cells)\n", path.c_str(), cells.size());
-    }
+    failures += report.write();
   }
 
   std::printf("\n");

@@ -12,8 +12,12 @@
 // with a ProcessControl implemented right here against the event kernel,
 // no station code involved. A failure storm then shows per-tier recovery,
 // escalation on a session-corruption failure that needs app+session cured
-// together, and the §4 transformations applied live to fix the tree.
+// together, and the §4 transformations applied live to fix the tree. The
+// run is traced like every bench: the example prints the per-tier phase
+// breakdown, writes cluster_service.trace.json for ui.perfetto.dev, and
+// exits nonzero if the trace breaks a recovery invariant.
 #include <cstdio>
+#include <fstream>
 #include <map>
 
 #include "bus/dedicated_link.h"
@@ -21,8 +25,10 @@
 #include "core/oracle.h"
 #include "core/process_control.h"
 #include "core/recoverer.h"
-#include "core/timeline.h"
 #include "core/transformations.h"
+#include "obs/phases.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
 #include "sim/simulator.h"
 #include "util/log.h"
 
@@ -78,6 +84,9 @@ int main() {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
   util::Logger::instance().set_level(util::LogLevel::kOff);
 
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder tracing(recorder);
+
   sim::Simulator sim(/*seed=*/99);
   core::FailureBoard board;
   ClusterProcessControl cluster(sim, board);
@@ -100,15 +109,17 @@ int main() {
   core::PerfectOracle oracle(board);
   core::Recoverer rec(sim, link, tree, oracle, cluster, core::RecConfig{});
   rec.start();
-  core::RecoveryTimeline timeline;
-  timeline.observe(board);
 
   // Failure reports come straight from the board here (the example skips a
-  // ping-based FD: any detector that names the failed component works).
+  // ping-based FD: any detector that names the failed component works). It
+  // traces its report like FD does, so the phase table can split detection
+  // from decision.
   const double detection_latency = 0.5;
   board.add_inject_listener([&](const core::ActiveFailure& failure) {
     const std::string component = failure.spec.manifest;
     sim.schedule_after(Duration::seconds(detection_latency), "detect", [&, component] {
+      obs::instant(sim.now(), "detect", "fd.report", "fd",
+                   {{"component", component}});
       msg::Message report = msg::make_command("fd", "rec", 1, "report-failure");
       report.body.set_attr("component", component);
       link.send(report);
@@ -138,11 +149,25 @@ int main() {
   board.inject(core::make_crash("db"), sim.now());
   recover_and_report("db crash (20 s tier, nothing else dragged in)");
 
-  timeline.ingest(rec, rec.tree());
-  std::printf("\nIncident log:\n%s", timeline.render_listing().c_str());
+  const obs::EventBuffer& events = recorder.events();
+  std::printf("\nRecovery phases (from the trace):\n%s",
+              obs::phase_table(obs::recovery_phases(events)).c_str());
+  std::ofstream trace_file("cluster_service.trace.json");
+  recorder.write_chrome_trace(trace_file);
+  if (!trace_file.good()) {
+    std::fprintf(stderr, "error: could not write cluster_service.trace.json\n");
+    return 1;
+  }
+  std::printf("trace: cluster_service.trace.json (ui.perfetto.dev)\n");
   std::printf("\nThe point: none of this code touched the Mercury station —\n"
               "the tree algebra, oracle, and recoverer are substrate-free.\n"
               "Your system only supplies a ProcessControl and a failure\n"
               "detector that names components.\n");
+  const std::vector<obs::TraceIssue> issues = obs::check_trace(events);
+  if (!issues.empty()) {
+    std::fprintf(stderr, "trace invariant violations:\n%s",
+                 obs::describe(issues).c_str());
+    return 1;
+  }
   return 0;
 }

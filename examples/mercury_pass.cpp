@@ -88,6 +88,7 @@ int main() {
               static_cast<unsigned long long>(station.bus().stats().delivered),
               static_cast<unsigned long long>(
                   station.bus().stats().dropped_bus_down +
-                  station.bus().stats().dropped_no_endpoint));
+                  station.bus().stats().dropped_no_endpoint +
+                  station.bus().stats().rejected_restarting));
   return 0;
 }

@@ -7,11 +7,17 @@
 // consults the restart tree (tree IV: ses and str share a consolidated
 // cell, §4.3) and restarts both in parallel; the pair resynchronizes and
 // the station reports functional ~6 seconds after the kill — versus ~25 s
-// for the monolithic tree I.
+// for the monolithic tree I. The whole run is traced (docs/TRACING.md): the
+// example prints the detect/decide/execute breakdown, writes
+// quickstart.trace.json for ui.perfetto.dev or chrome://tracing, and exits
+// nonzero if the trace breaks a recovery invariant.
 #include <cstdio>
+#include <fstream>
 
 #include "core/mercury_trees.h"
-#include "core/timeline.h"
+#include "obs/phases.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
 #include "sim/simulator.h"
 #include "station/experiment.h"
 #include "util/log.h"
@@ -26,6 +32,9 @@ int main() {
   // Verbose logging so the recovery sequence is visible.
   util::Logger::instance().set_level(util::LogLevel::kInfo);
 
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder tracing(recorder);
+
   sim::Simulator sim(/*seed=*/2024);
 
   station::TrialSpec spec;
@@ -35,9 +44,6 @@ int main() {
 
   std::printf("Restart tree (tree IV of the paper):\n%s\n",
               rig.rec().tree().render().c_str());
-
-  core::RecoveryTimeline timeline;
-  timeline.observe(rig.station().board());
 
   rig.start();
   sim.run_for(util::Duration::seconds(5.0));
@@ -50,6 +56,9 @@ int main() {
   while (!rig.station().all_functional()) {
     if (!sim.step()) break;
   }
+  // Mark "functionally ready" as run_trial does, so the trace's execute
+  // phase covers the ses/str resync too.
+  obs::instant(sim.now(), "sim", "trial.recovered", "trial");
 
   std::printf("\n>>> recovered in %.2f s (detection + parallel ses+str restart "
               "+ resync)\n",
@@ -63,13 +72,23 @@ int main() {
                 record.reported_component.c_str());
   }
 
-  timeline.ingest(rig.rec(), rig.rec().tree());
-  std::printf("\nIncident timeline:\n%s", timeline.render_listing().c_str());
-  std::printf("\nAvailability strip (%.0fs window around the incident):\n%s",
-              (sim.now() - injected).to_seconds() + 4.0,
-              timeline
-                  .render_gantt(injected - util::Duration::seconds(2.0),
-                                sim.now() + util::Duration::seconds(2.0), 64)
-                  .c_str());
+  // The trace explains the recovery: phases per action, and a Perfetto
+  // view with one slice per restart on a track per subsystem.
+  const obs::EventBuffer& events = recorder.events();
+  std::printf("\nRecovery phases (from the trace):\n%s",
+              obs::phase_table(obs::recovery_phases(events)).c_str());
+  std::ofstream trace_file("quickstart.trace.json");
+  recorder.write_chrome_trace(trace_file);
+  if (!trace_file.good()) {
+    std::fprintf(stderr, "error: could not write quickstart.trace.json\n");
+    return 1;
+  }
+  std::printf("trace: quickstart.trace.json (ui.perfetto.dev)\n");
+  const std::vector<obs::TraceIssue> issues = obs::check_trace(events);
+  if (!issues.empty()) {
+    std::fprintf(stderr, "trace invariant violations:\n%s",
+                 obs::describe(issues).c_str());
+    return 1;
+  }
   return 0;
 }

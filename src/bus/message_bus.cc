@@ -140,20 +140,17 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
   Receiver* receiver_slot = find_receiver(to);
   if (receiver_slot == nullptr) {
     // Mid-restart endpoint (ISSUE 9): the process backend marked it at kill
-    // time. With typed errors on, the sender gets a kNack carrying the
-    // component and its failure epoch — a fast, actionable retry signal —
-    // instead of the legacy silent drop. The touch listener fires either
-    // way, so traffic-driven recovery sees the request even on legacy
-    // configs.
+    // time. The touch listener sees the request (traffic-driven recovery),
+    // and the sender gets a kNack carrying the component and its failure
+    // epoch — a fast, actionable retry signal — instead of a silent drop.
     const auto mid_restart = restarting_.find(to);
-    if (mid_restart != restarting_.end() &&
-        (config_.typed_restart_errors || touch_listener_)) {
+    if (mid_restart != restarting_.end()) {
       const msg::Message& request = *decoded;
       if (touch_listener_) touch_listener_(to, request.from);
       // Never answer a nack with a nack (no error-on-error loops), and
       // never answer our own error messages.
-      if (config_.typed_restart_errors && request.kind != msg::Kind::kNack &&
-          !request.from.empty() && request.from != "mbus") {
+      if (request.kind != msg::Kind::kNack && !request.from.empty() &&
+          request.from != "mbus") {
         ++stats_.rejected_restarting;
         msg::Message error = msg::make_nack(request, "mbus", "restarting");
         error.body.set_attr("component", to);

@@ -43,13 +43,6 @@ struct BusConfig {
   /// robustness ablation uses this to show why single-miss failure
   /// detection (the paper's choice) needs a reliable transport.
   double loss_probability = 0.0;
-  /// Typed mid-restart errors (ISSUE 9): a message addressed to an endpoint
-  /// that is detached *because its process is restarting* is answered with a
-  /// kNack (reason "restarting", carrying the component name and its failure
-  /// epoch) instead of being silently dropped. Lets clients retry fast —
-  /// they can tell "mid-restart" from "never existed". Off by default so
-  /// legacy traffic and drop counters stay byte-identical.
-  bool typed_restart_errors = false;
 };
 
 struct BusStats {
@@ -59,8 +52,8 @@ struct BusStats {
   std::uint64_t dropped_no_endpoint = 0;
   std::uint64_t dropped_oversize = 0;
   std::uint64_t dropped_lossy = 0;
-  /// Messages answered with a typed "restarting" nack instead of a silent
-  /// drop (typed_restart_errors configs only).
+  /// Messages to a mid-restart endpoint, answered with a typed
+  /// "restarting" nack instead of a silent drop.
   std::uint64_t rejected_restarting = 0;
 };
 
@@ -97,8 +90,10 @@ class MessageBus {
   /// Mark `name` as detached-because-restarting (called by the process
   /// backend at kill time, with the restart attempt's failure epoch). The
   /// mark clears automatically when the endpoint re-attaches. While marked,
-  /// deliveries to the missing endpoint fire the touch listener, and — with
-  /// typed_restart_errors on — are answered with a "restarting" nack.
+  /// deliveries to the missing endpoint fire the touch listener and are
+  /// answered with a kNack (reason "restarting", carrying the component and
+  /// its failure epoch), so clients can tell "mid-restart" from "never
+  /// existed" and retry fast.
   void note_restarting(const std::string& name, std::uint64_t epoch);
   bool restarting(const std::string& name) const;
 

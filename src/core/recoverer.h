@@ -149,6 +149,11 @@ struct RecConfig {
   /// them (touch() promotes the entry to the DAG front and dispatches it as
   /// soon as no in-flight conflict remains); untouched cells drain in the
   /// background, one per lazy_drain_interval.
+  ///
+  /// Off by default because it is an experiment axis, not a compatibility
+  /// gate: bench_parallel_recovery measures plain on-demand dispatch with
+  /// it off, bench_availability_traffic measures traffic-driven recovery
+  /// with it on.
   bool traffic_driven = false;
   util::Duration lazy_drain_interval = util::Duration::millis(500.0);
 };

@@ -60,9 +60,6 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
   config.enable_domain_behavior = spec.enable_domain_behavior;
   config.cal = spec.cal;
   config.bus.loss_probability = spec.bus_loss_probability;
-  // Client traffic gets typed mid-restart nacks: a fast "restarting" error
-  // beats a silent drop both for retry latency and for the touch signal.
-  config.bus.typed_restart_errors = spec.traffic.enabled;
   config.checkpoints.enabled = spec.enable_checkpoints;
   config.checkpoints.ttl = spec.checkpoint_ttl;
   config.checkpoints.l1_partner = spec.checkpoint_l1;

@@ -13,7 +13,7 @@
 // per-request retry/timeout state machine:
 //
 //   * a pong resolves the request as served;
-//   * a typed "restarting" nack (bus::BusConfig::typed_restart_errors) is a
+//   * a typed "restarting" nack (bus::MessageBus::note_restarting) is a
 //     fast failure: the session touches the route (traffic-driven recovery)
 //     and retries after retry_backoff;
 //   * a timeout (crashed-but-attached components are fail-silent) touches

@@ -165,9 +165,7 @@ TEST_F(BusTest, WireFormatRoundTripsThroughBus) {
 
 TEST(BusRestarting, TypedNackCarriesComponentAndEpoch) {
   sim::Simulator sim(3);
-  BusConfig config;
-  config.typed_restart_errors = true;
-  MessageBus bus(sim, config);
+  MessageBus bus(sim, BusConfig{});
   std::vector<msg::Message> inbox;
   bus.attach("cli.0", [&](const msg::Message& m) { inbox.push_back(m); });
   // ses was killed at epoch 5 and has not re-attached: mid-restart.
@@ -187,9 +185,7 @@ TEST(BusRestarting, TypedNackCarriesComponentAndEpoch) {
 
 TEST(BusRestarting, ReattachClearsRestartingAndResumesDelivery) {
   sim::Simulator sim(3);
-  BusConfig config;
-  config.typed_restart_errors = true;
-  MessageBus bus(sim, config);
+  MessageBus bus(sim, BusConfig{});
   std::vector<msg::Message> ses_inbox;
   bus.note_restarting("ses", 2);
   bus.attach("ses", [&](const msg::Message& m) { ses_inbox.push_back(m); });
@@ -200,10 +196,9 @@ TEST(BusRestarting, ReattachClearsRestartingAndResumesDelivery) {
   EXPECT_EQ(bus.stats().rejected_restarting, 0u);
 }
 
-TEST(BusRestarting, GateOffPreservesLegacySilentDropButStillTouches) {
-  // Default config: no typed errors. A send into a mid-restart endpoint
-  // drops exactly as before ISSUE 9 — but the touch listener still fires,
-  // so traffic-driven recovery works on legacy configs too.
+TEST(BusRestarting, TouchFiresAlongsideTheNack) {
+  // A send into a mid-restart endpoint both touches it (traffic-driven
+  // recovery) and answers the sender with a "restarting" nack.
   sim::Simulator sim(3);
   MessageBus bus(sim, BusConfig{});
   std::vector<std::pair<std::string, std::string>> touches;
@@ -216,21 +211,21 @@ TEST(BusRestarting, GateOffPreservesLegacySilentDropButStillTouches) {
 
   bus.send(msg::make_ping("cli.0", "rtu", 7));
   sim.run_for(Duration::seconds(1.0));
-  EXPECT_TRUE(inbox.empty());
-  EXPECT_EQ(bus.stats().dropped_no_endpoint, 1u);
-  EXPECT_EQ(bus.stats().rejected_restarting, 0u);
   ASSERT_EQ(touches.size(), 1u);
   EXPECT_EQ(touches[0].first, "rtu");
   EXPECT_EQ(touches[0].second, "cli.0");
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].kind, msg::Kind::kNack);
+  EXPECT_EQ(inbox[0].body.attr("reason").value_or(""), "restarting");
+  EXPECT_EQ(bus.stats().rejected_restarting, 1u);
+  EXPECT_EQ(bus.stats().dropped_no_endpoint, 0u);
 }
 
 TEST(BusRestarting, NeverNacksANackOrAnonymousSender) {
   // No error-on-error loops: a nack into a restarting endpoint, or a
   // message with no return address, drops without generating a reply.
   sim::Simulator sim(3);
-  BusConfig config;
-  config.typed_restart_errors = true;
-  MessageBus bus(sim, config);
+  MessageBus bus(sim, BusConfig{});
   bus.note_restarting("ses", 1);
 
   msg::Message command = msg::make_command("cli.0", "ses", 9, "track");
@@ -245,12 +240,10 @@ TEST(BusRestarting, NeverNacksANackOrAnonymousSender) {
 }
 
 TEST(BusRestarting, UnmarkedMissingEndpointStaysSilentDrop) {
-  // typed errors apply only to endpoints the process backend marked as
+  // Typed nacks apply only to endpoints the process backend marked as
   // mid-restart; a plain unknown destination still just drops.
   sim::Simulator sim(3);
-  BusConfig config;
-  config.typed_restart_errors = true;
-  MessageBus bus(sim, config);
+  MessageBus bus(sim, BusConfig{});
   std::vector<msg::Message> inbox;
   bus.attach("cli.0", [&](const msg::Message& m) { inbox.push_back(m); });
   bus.send(msg::make_ping("cli.0", "ghost", 1));
