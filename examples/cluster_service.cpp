@@ -30,7 +30,6 @@
 #include "obs/trace.h"
 #include "obs/trace_check.h"
 #include "sim/simulator.h"
-#include "util/log.h"
 
 namespace {
 
@@ -82,7 +81,6 @@ class ClusterProcessControl : public core::ProcessControl {
 
 int main() {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
-  util::Logger::instance().set_level(util::LogLevel::kOff);
 
   obs::TraceRecorder recorder;
   obs::ScopedRecorder tracing(recorder);

@@ -14,7 +14,6 @@
 #include "orbit/pass_predictor.h"
 #include "sim/simulator.h"
 #include "station/experiment.h"
-#include "util/log.h"
 
 int main() {
   using namespace mercury;

@@ -8,9 +8,10 @@
 // cell, §4.3) and restarts both in parallel; the pair resynchronizes and
 // the station reports functional ~6 seconds after the kill — versus ~25 s
 // for the monolithic tree I. The whole run is traced (docs/TRACING.md): the
-// example prints the detect/decide/execute breakdown, writes
-// quickstart.trace.json for ui.perfetto.dev or chrome://tracing, and exits
-// nonzero if the trace breaks a recovery invariant.
+// example narrates the trace event by event, prints the detect/decide/
+// execute breakdown, writes quickstart.trace.json for ui.perfetto.dev or
+// chrome://tracing, and exits nonzero if the trace breaks a recovery
+// invariant.
 #include <cstdio>
 #include <fstream>
 
@@ -20,17 +21,10 @@
 #include "obs/trace_check.h"
 #include "sim/simulator.h"
 #include "station/experiment.h"
-#include "util/log.h"
 
 int main() {
   using namespace mercury;
   namespace names = core::component_names;
-
-  // Logs go to stderr; unbuffer stdout so the narration interleaves.
-  std::setvbuf(stdout, nullptr, _IONBF, 0);
-
-  // Verbose logging so the recovery sequence is visible.
-  util::Logger::instance().set_level(util::LogLevel::kInfo);
 
   obs::TraceRecorder recorder;
   obs::ScopedRecorder tracing(recorder);
@@ -48,7 +42,7 @@ int main() {
   rig.start();
   sim.run_for(util::Duration::seconds(5.0));
 
-  std::printf("\n>>> t=%.2fs: injecting fail-silent crash of ses (SIGKILL)\n\n",
+  std::printf("\n>>> t=%.2fs: injecting fail-silent crash of ses (SIGKILL)\n",
               sim.now().to_seconds());
   const util::TimePoint injected = sim.now();
   rig.station().inject_crash(names::kSes);
@@ -72,9 +66,11 @@ int main() {
                 record.reported_component.c_str());
   }
 
-  // The trace explains the recovery: phases per action, and a Perfetto
-  // view with one slice per restart on a track per subsystem.
+  // The trace explains the recovery: every event as it happened, phases per
+  // action, and a Perfetto view with one slice per restart on a track per
+  // subsystem.
   const obs::EventBuffer& events = recorder.events();
+  std::printf("\nThe recovery, as traced:\n%s", obs::narrate(events).c_str());
   std::printf("\nRecovery phases (from the trace):\n%s",
               obs::phase_table(obs::recovery_phases(events)).c_str());
   std::ofstream trace_file("quickstart.trace.json");

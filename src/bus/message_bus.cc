@@ -3,12 +3,7 @@
 #include <functional>
 #include <string_view>
 
-#include "util/log.h"
-
 namespace mercury::bus {
-
-using util::LogLevel;
-using util::LogLine;
 
 MessageBus::MessageBus(sim::Simulator& sim, BusConfig config)
     : sim_(sim), config_(config), rng_(sim.rng().fork("mbus")) {}
@@ -69,9 +64,6 @@ void MessageBus::send(const msg::Message& message) {
   const std::string wire = msg::encode(message);
   if (wire.size() > config_.max_wire_bytes) {
     ++stats_.dropped_oversize;
-    LogLine(LogLevel::kWarn, sim_.now(), "mbus")
-        << "dropping oversize message from " << message.from << " ("
-        << wire.size() << " bytes)";
     return;
   }
 
@@ -92,8 +84,6 @@ void MessageBus::send(const msg::Message& message) {
     } else {
       ++stats_.dropped_no_endpoint;
     }
-    LogLine(LogLevel::kError, sim_.now(), "mbus")
-        << "undecodable frame: " << parsed.error().message();
     return;
   }
   const auto decoded =
@@ -175,12 +165,10 @@ void MessageBus::crash() {
   ++epoch_;  // voids in-flight deliveries
   endpoints_.clear();
   ++endpoints_version_;
-  LogLine(LogLevel::kInfo, sim_.now(), "mbus") << "bus crashed";
 }
 
 void MessageBus::restart() {
   online_ = true;
-  LogLine(LogLevel::kInfo, sim_.now(), "mbus") << "bus restarted";
 }
 
 }  // namespace mercury::bus

@@ -4,13 +4,9 @@
 #include <cassert>
 
 #include "obs/trace.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::core {
-
-using util::LogLevel;
-using util::LogLine;
 
 FailureDetector::FailureDetector(sim::Simulator& sim, bus::MessageBus& bus,
                                  bus::DedicatedLink& link,
@@ -53,7 +49,6 @@ void FailureDetector::reattach() {
 void FailureDetector::crash() {
   alive_ = false;
   obs::instant(sim_.now(), "proc", "fd.crash", "fd");
-  LogLine(LogLevel::kInfo, sim_.now(), "fd") << "crashed (fail-silent)";
 }
 
 void FailureDetector::restart_complete() {
@@ -70,7 +65,6 @@ void FailureDetector::restart_complete() {
   verifying_mbus_ = false;
   pending_reports_.clear();
   obs::instant(sim_.now(), "proc", "fd.restarted", "fd");
-  LogLine(LogLevel::kInfo, sim_.now(), "fd") << "restarted";
 }
 
 bool FailureDetector::is_masked(const std::string& target) const {
@@ -199,8 +193,6 @@ void FailureDetector::report(const std::string& component) {
   obs::instant(sim_.now(), "detect", "fd.report", "fd",
                {{"component", component}});
   obs::incr("fd.reports");
-  LogLine(LogLevel::kInfo, sim_.now(), "fd")
-      << "detected failure of " << component << "; notifying rec";
   msg::Message report = msg::make_command(config_.fd_name, config_.rec_name,
                                           seq_++, "report-failure");
   report.body.set_attr("component", component);
@@ -289,8 +281,6 @@ void FailureDetector::on_rec_timeout() {
   if (!alive_ || !rec_restarter_) return;
   obs::instant(sim_.now(), "detect", "fd.rec-unresponsive", "fd");
   obs::incr("fd.rec_restarts");
-  LogLine(LogLevel::kWarn, sim_.now(), "fd")
-      << "rec unresponsive; initiating rec recovery";
   rec_restart_in_flight_ = true;
   rec_restarter_();
   // Allow renewed monitoring once REC had a chance to come back; the

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "util/log.h"
-#include "util/strings.h"
-
 namespace mercury::core {
-
-using util::LogLevel;
-using util::LogLine;
 
 HealthMonitor::HealthMonitor(sim::Simulator& sim, bus::MessageBus& bus,
                              std::string endpoint, HealthPolicy policy)
@@ -73,37 +67,20 @@ void HealthMonitor::evaluate(const std::string& component, ComponentState& state
     if (std::find(hard_reports_.begin(), hard_reports_.end(), component) ==
         hard_reports_.end()) {
       hard_reports_.push_back(component);
-      LogLine(LogLevel::kError, sim_.now(), "hm")
-          << component << " reports a suspected hard failure";
       if (hard_handler_) hard_handler_(component);
     }
     return;
   }
 
-  bool degraded = false;
-  std::string reason;
-  if (beacon.memory_mb > policy_.memory_limit_mb) {
-    degraded = true;
-    reason = "memory " + util::format_fixed(beacon.memory_mb, 1) + " MB";
-  } else if (beacon.queue_depth > policy_.queue_limit) {
-    degraded = true;
-    reason = "queue depth " + util::format_fixed(beacon.queue_depth, 0);
-  } else if (policy_.act_on_failed_self_check &&
-             (!beacon.connectivity_ok || !beacon.consistency_ok)) {
-    degraded = true;
-    reason = !beacon.connectivity_ok ? "connectivity check failed"
-                                     : "consistency check failed";
-  } else if (state.consecutive_warning_beacons >=
-             policy_.warning_beacons_before_action) {
-    degraded = true;
-    reason = std::to_string(state.consecutive_warning_beacons) +
-             " consecutive warning beacons";
-  }
+  const bool degraded =
+      beacon.memory_mb > policy_.memory_limit_mb ||
+      beacon.queue_depth > policy_.queue_limit ||
+      (policy_.act_on_failed_self_check &&
+       (!beacon.connectivity_ok || !beacon.consistency_ok)) ||
+      state.consecutive_warning_beacons >= policy_.warning_beacons_before_action;
   if (!degraded) return;
 
   if (sim_.now() - state.last_rejuvenation < policy_.min_spacing) return;
-  LogLine(LogLevel::kInfo, sim_.now(), "hm")
-      << component << " degraded (" << reason << "); requesting rejuvenation";
   request(component, state);
 }
 
@@ -112,9 +89,6 @@ void HealthMonitor::request(const std::string& component, ComponentState& state)
     if (!state.pending) {
       state.pending = true;
       ++deferred_;
-      LogLine(LogLevel::kInfo, sim_.now(), "hm")
-          << "maintenance window closed; deferring " << component
-          << " rejuvenation (§5.2: planned downtime waits for cheap time)";
     }
     return;
   }

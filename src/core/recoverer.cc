@@ -5,14 +5,11 @@
 #include <cmath>
 
 #include "obs/trace.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::core {
 
 using util::Duration;
-using util::LogLevel;
-using util::LogLine;
 
 const char* to_string(DispatchMode mode) {
   switch (mode) {
@@ -45,7 +42,6 @@ void Recoverer::start() {
 void Recoverer::crash() {
   alive_ = false;
   obs::instant(sim_.now(), "proc", "rec.crash", "rec");
-  LogLine(LogLevel::kInfo, sim_.now(), "rec") << "crashed (fail-silent)";
 }
 
 void Recoverer::restart_complete() {
@@ -59,7 +55,6 @@ void Recoverer::restart_complete() {
   backoff_.clear();
   completion_epoch_.clear();
   obs::instant(sim_.now(), "proc", "rec.restarted", "rec");
-  LogLine(LogLevel::kInfo, sim_.now(), "rec") << "restarted";
 }
 
 void Recoverer::on_link_message(const msg::Message& message) {
@@ -133,8 +128,6 @@ TouchResult Recoverer::touch(const std::string& component) {
   obs::instant(sim_.now(), "recover", "rec.touch", "rec",
                {{"component", component}});
   obs::incr("rec.touch_promotions");
-  LogLine(LogLevel::kInfo, sim_.now(), "rec")
-      << "client request touched " << component << "; promoting its restart";
   if (blocked_in_queue(entry)) {
     // An in-flight ancestor/descendant still conflicts: promoted to the DAG
     // front, dispatches at the first drain once the conflict clears.
@@ -336,9 +329,6 @@ bool Recoverer::note_root_restart_then_maybe_park(
   }
   history.last = sim_.now();
   if (history.count < config_.max_root_restarts) return false;
-  LogLine(LogLevel::kError, sim_.now(), "rec")
-      << "hard failure: " << component << " persists after " << history.count
-      << " full restarts; giving up";
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", component},
                 {"root_restarts", history.count}});
@@ -377,11 +367,6 @@ void Recoverer::park(const std::string& component, const std::string& reason,
                   {"masked", util::join(to_mask, ",")}});
   }
   obs::incr("rec.parked");
-  if (util::log_enabled(LogLevel::kError)) {
-    LogLine(LogLevel::kError, sim_.now(), "rec")
-        << "parked " << util::join(to_mask, ",") << " (" << reason
-        << "); operating degraded until operator intervention";
-  }
   // Permanent FD mask: the station keeps running without the parked cell
   // instead of detect/restart-looping it. send_mask never unmasks parked
   // components again.
@@ -396,10 +381,6 @@ void Recoverer::park(const std::string& component, const std::string& reason,
 bool Recoverer::budget_exhausted_then_park(const Action& restart) {
   if (restart.planned || config_.max_attempts_per_chain <= 0) return false;
   if (restart.chain_attempts < config_.max_attempts_per_chain) return false;
-  LogLine(LogLevel::kError, sim_.now(), "rec")
-      << "hard failure: chain for " << restart.reported_component
-      << " exhausted its budget of " << config_.max_attempts_per_chain
-      << " restart attempts; giving up";
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", restart.reported_component},
                 {"attempts", restart.chain_attempts}});
@@ -421,9 +402,6 @@ void Recoverer::execute_soft(Action restart) {
       {{"component", restart.reported_component},
        {"cell", tree_.cell(restart.node).label}});
   obs::incr("rec.soft_recoveries");
-  LogLine(LogLevel::kInfo, sim_.now(), "rec")
-      << "soft recovery of " << restart.reported_component
-      << " (recursive-recovery rung 0)";
   send_mask(restart.components, true);
   restart.dispatched = true;
   const std::string component = restart.reported_component;
@@ -509,11 +487,6 @@ void Recoverer::execute(Action restart) {
                   {"cell", tree_.cell(restart.node).label},
                   {"delay_s", obs::Fixed{delay.to_seconds(), 3}}});
     obs::incr("rec.backoffs");
-    if (util::log_enabled(LogLevel::kInfo)) {
-      LogLine(LogLevel::kInfo, sim_.now(), "rec")
-          << "backing off " << util::format_fixed(delay.to_seconds(), 3)
-          << " s before restarting cell " << tree_.cell(restart.node).label;
-    }
     actions_.emplace(action_id, std::move(restart));
     note_in_flight_peak();
     sim_.schedule_after(delay, "rec.backoff", [this, action_id] {
@@ -549,9 +522,6 @@ void Recoverer::absorb_conflicting(const Action& absorber) {
                   {"cell", tree_.cell(victim.node).label},
                   {"into", tree_.cell(absorber.node).label}});
     obs::incr("rec.absorbed");
-    LogLine(LogLevel::kInfo, sim_.now(), "rec")
-        << "restart of cell " << tree_.cell(victim.node).label
-        << " absorbed by escalation to " << tree_.cell(absorber.node).label;
     if (victim.deadline_event.valid()) sim_.cancel(victim.deadline_event);
     if (victim.dispatched) {
       // Members stay masked: the absorber covers a superset and re-masks at
@@ -567,16 +537,6 @@ void Recoverer::dispatch(std::uint64_t action_id) {
   if (it == actions_.end()) return;
   Action& restart = it->second;
   restart.dispatched = true;
-  if (util::log_enabled(LogLevel::kInfo)) {
-    LogLine(LogLevel::kInfo, sim_.now(), "rec")
-        << "restarting cell " << tree_.cell(restart.node).label << " ("
-        << util::join(restart.components, ",") << ") for failure of "
-        << restart.reported_component
-        << (restart.escalation_level > 0
-                ? " [escalation level " +
-                      std::to_string(restart.escalation_level) + "]"
-                : "");
-  }
 
   restart.trace_span =
       obs::enabled()
@@ -619,9 +579,6 @@ void Recoverer::on_restart_timeout(std::uint64_t action_id) {
                 {"cell", tree_.cell(failed.node).label},
                 {"escalation", failed.escalation_level}});
   obs::incr("rec.restart_timeouts");
-  LogLine(LogLevel::kWarn, sim_.now(), "rec")
-      << "restart of cell " << tree_.cell(failed.node).label << " for "
-      << failed.reported_component << " exceeded its deadline; escalating";
 
   // Whatever checkpointed state the failed attempt may have warm-started
   // from is now fault-suspected (ISSUE 3 — bad state is exactly what a
@@ -884,8 +841,6 @@ void Recoverer::on_fd_timeout() {
   if (!alive_ || !fd_restarter_) return;
   obs::instant(sim_.now(), "detect", "rec.fd-unresponsive", "rec");
   obs::incr("rec.fd_restarts");
-  LogLine(LogLevel::kWarn, sim_.now(), "rec")
-      << "fd unresponsive; initiating fd recovery";
   fd_restart_in_flight_ = true;
   fd_restarter_();
   sim_.schedule_after(config_.fd_ping_period * 5.0, "rec.fd-grace",

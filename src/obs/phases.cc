@@ -1,8 +1,10 @@
 #include "obs/phases.h"
 
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "util/stats.h"
@@ -119,6 +121,40 @@ std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
   return rows;
 }
 
+/// Shared body of both narrate overloads.
+template <typename Range>
+std::string narrate_impl(const Range& events) {
+  std::string out;
+  std::unordered_map<std::uint64_t, double> begun_at;  // open spans by id
+  char number[32];
+  for (const TraceEvent& event : events) {
+    std::snprintf(number, sizeof number, "[%10.3f] ", event.t);
+    out += number;
+    out += event.track.view();
+    out += ' ';
+    out += event.name.view();
+    if (event.kind == EventKind::kBegin) {
+      begun_at[event.span] = event.t;
+      out += " begin";
+    } else if (event.kind == EventKind::kEnd) {
+      out += " end";
+      if (const auto it = begun_at.find(event.span); it != begun_at.end()) {
+        std::snprintf(number, sizeof number, " (%.3f s)", event.t - it->second);
+        out += number;
+        begun_at.erase(it);
+      }
+    }
+    for (const TraceArg& arg : event.args) {
+      out += ' ';
+      out += arg.key.view();
+      out += '=';
+      out += arg.value();
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<RecoveryPhases> recovery_phases(
@@ -129,6 +165,12 @@ std::vector<RecoveryPhases> recovery_phases(
 std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events) {
   return recovery_phases_impl(events);
 }
+
+std::string narrate(const std::vector<TraceEvent>& events) {
+  return narrate_impl(events);
+}
+
+std::string narrate(const EventBuffer& events) { return narrate_impl(events); }
 
 std::string phase_table(const std::vector<RecoveryPhases>& rows) {
   struct Agg {

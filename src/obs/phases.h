@@ -15,6 +15,9 @@
 // tests/test_trace.cc). An escalation chain produces one row per recovery
 // action; rows after the first have no fault.manifest of their own and
 // anchor on the re-detection report instead.
+//
+// narrate() tells the same story as text: every event on one line, so an
+// example can show a recovery as it happened.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +60,13 @@ struct RecoveryPhases {
 /// EventBuffer overload analyzes a live recorder's chunked log in place.
 std::vector<RecoveryPhases> recovery_phases(const std::vector<TraceEvent>& events);
 std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events);
+
+/// Plain-text account of a trace, one line per event in emission order:
+/// `[%10.3f] <track> <name> k=v ...`. A span's begin line adds `begin`;
+/// its end line adds `end (<duration> s)`, the duration found by span id
+/// (plain `end` when the begin is not in the stream).
+std::string narrate(const std::vector<TraceEvent>& events);
+std::string narrate(const EventBuffer& events);
 
 /// Aggregate phase table (mean seconds per reported component plus a total
 /// row), formatted like the benches' paper-vs-measured tables.

@@ -12,12 +12,12 @@
 // Design constraints:
 //   * Emitters timestamp events themselves (virtual simulation time or wall
 //     time), so one recorder serves both the simulator and POSIX backends.
-//   * Instrumentation is a thread-locally installable pointer (like
-//     util::Logger, but per thread): with no recorder installed every emit
-//     site is a single pointer compare. Emit-side args (obs::Arg) are views
-//     and plain numbers, so building them costs nothing either; emit sites
-//     that would have to build a string (a join, a concatenation) guard it
-//     with obs::enabled(). Each simulation runs single-threaded on its own
+//   * Instrumentation is a thread-locally installable pointer, one per
+//     thread: with no recorder installed every emit site is a single
+//     pointer compare. Emit-side args (obs::Arg) are views and plain
+//     numbers, so building them costs nothing either; emit sites that would
+//     have to build a string (a join, a concatenation) guard it with
+//     obs::enabled(). Each simulation runs single-threaded on its own
 //     thread; the parallel experiment runner (src/exp) installs a private
 //     recorder per trial and merges the buffers afterwards, so no recorder
 //     instance is ever shared across threads.

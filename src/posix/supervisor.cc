@@ -7,13 +7,12 @@
 #include <cassert>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "obs/trace.h"
 #include "posix/checkpoint_file.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::posix {
@@ -23,26 +22,14 @@ using util::Status;
 
 namespace {
 
-util::TimePoint log_now(Clock::time_point start) {
-  return util::TimePoint::from_seconds(
-      std::chrono::duration<double>(Clock::now() - start).count());
-}
-
 const Clock::time_point kProcessStart = Clock::now();
 
-/// Info line whose parts are streamed one after another; under a quieter
-/// logger nothing is concatenated or formatted.
-template <typename... Parts>
-void log_info(std::string_view who, const Parts&... parts) {
-  if (!util::log_enabled(util::LogLevel::kInfo)) return;
-  util::LogLine line(util::LogLevel::kInfo, log_now(kProcessStart), who);
-  (line << ... << parts);
-}
-
 /// Trace timestamps on this backend are wall-clock seconds since process
-/// start — the same origin log_now uses, so logs and traces line up. The
-/// timer heap runs on this clock too.
-util::TimePoint trace_now() { return log_now(kProcessStart); }
+/// start. The timer heap runs on this clock too.
+util::TimePoint trace_now() {
+  return util::TimePoint::from_seconds(
+      std::chrono::duration<double>(Clock::now() - kProcessStart).count());
+}
 
 Clock::duration to_clock(util::Duration duration) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -124,8 +111,6 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
                                       *worker.replica_payload)) {
         ++partner_restores_;
         obs::incr("posix.partner_restores");
-        log_info(worker.spec.name,
-                 "checkpoint file restored from partner copy (warm start kept)");
       }
     };
     ckpt::CheckpointFile file;
@@ -138,8 +123,6 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
         ::unlink(worker.spec.checkpoint_file.c_str());
         ++checkpoints_deleted_;
         obs::incr("posix.checkpoints_deleted");
-        log_info(worker.spec.name,
-                 "invalid checkpoint file deleted (cold start enforced)");
         restore_from_replica();
         break;
       case ckpt::FileState::kValid:
@@ -160,7 +143,9 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
   worker.outstanding_seq = 0;
   auto spawned = ChildProcess::spawn(worker.spec.argv);
   if (!spawned.ok()) {
-    log_info(worker.spec.name, "spawn failed: ", spawned.error().message());
+    std::fprintf(stderr, "[%10.3f] %s: spawn failed: %s\n",
+                 trace_now().to_seconds(), worker.spec.name.c_str(),
+                 spawned.error().message().c_str());
     return;
   }
   worker.process.emplace(std::move(spawned).value());
@@ -229,7 +214,9 @@ void PosixSupervisor::pump(Millis max_wait) {
     // A real poll failure (EBADF from a raced-away fd, ENOMEM, ...) must not
     // kill the supervision loop — the drains below are non-blocking and the
     // deadline checks still have to run. EINTR is routine (signals).
-    log_info("supervisor", "poll failed: ", std::strerror(errno));
+    const int error = errno;
+    std::fprintf(stderr, "[%10.3f] supervisor: poll failed: %s\n",
+                 trace_now().to_seconds(), std::strerror(error));
   }
 
   for (Worker* worker : fd_owners) drain_worker(*worker);
@@ -249,7 +236,6 @@ void PosixSupervisor::drain_worker(Worker& worker) {
       worker.state = WorkerState::kUp;
       worker.next_ping = Clock::now() + config_.ping_period;
       reported_.erase(worker.spec.name);
-      log_info(worker.spec.name, "READY");
       if (worker.restart_span != 0) {
         obs::end_span(trace_now(), worker.restart_span, {{"outcome", "ready"}});
         worker.restart_span = 0;
@@ -334,7 +320,6 @@ void PosixSupervisor::detect() {
 
 void PosixSupervisor::report(Worker& worker, const char* cause) {
   const std::string& name = worker.spec.name;
-  log_info(name, cause, "; reporting failure");
   obs::instant(sim_.now(), "detect", "fd.report", "posix",
                {{"component", name}, {"cause", cause}});
   obs::incr("fd.reports");
@@ -380,8 +365,6 @@ void PosixSupervisor::check_health_policy() {
     const double memory_mb = *worker.memory_mb;
     // REC declines while interfering reactive work is in flight.
     if (!rec_.planned_restart(name)) continue;
-    log_info(name, "memory ", util::format_fixed(memory_mb, 1),
-             " MB over limit; proactive rejuvenation (§7)");
     obs::instant(sim_.now(), "recover", "rec.rejuvenate", "posix",
                  {{"component", name},
                   {"mem_mb", obs::Fixed{memory_mb, 1}}});
@@ -413,10 +396,7 @@ bool PosixSupervisor::all_up() const {
 
 bool PosixSupervisor::kill_worker(const std::string& name) {
   const auto it = workers_.find(name);
-  if (it == workers_.end()) {
-    log_info("supervisor", "kill_worker: no such worker '", name, "'");
-    return false;
-  }
+  if (it == workers_.end()) return false;
   Worker& worker = it->second;
   if (worker.process.has_value()) worker.process->kill_hard();
   obs::instant(trace_now(), "fault", "fault.manifest", "posix",
@@ -430,10 +410,7 @@ bool PosixSupervisor::kill_worker(const std::string& name) {
 
 bool PosixSupervisor::wedge_worker(const std::string& name) {
   const auto it = workers_.find(name);
-  if (it == workers_.end()) {
-    log_info("supervisor", "wedge_worker: no such worker '", name, "'");
-    return false;
-  }
+  if (it == workers_.end()) return false;
   Worker& worker = it->second;
   if (worker.process.has_value()) worker.process->write_line("WEDGE");
   obs::instant(trace_now(), "fault", "fault.manifest", "posix",

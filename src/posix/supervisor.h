@@ -117,10 +117,10 @@ class PosixSupervisor : private core::ProcessControl {
   bool all_up() const;
   /// SIGKILL a worker out-of-band (external fault injection). The detector
   /// finds the death on its next pass, through the pipe hangup. Returns
-  /// false (and logs) for a name the supervisor does not manage.
+  /// false for a name the supervisor does not manage.
   bool kill_worker(const std::string& name);
   /// Make a worker fail-silent without killing its process. Returns false
-  /// (and logs) for a name the supervisor does not manage.
+  /// for a name the supervisor does not manage.
   bool wedge_worker(const std::string& name);
 
   const std::vector<PosixRecoveryRecord>& history() const { return history_; }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <utility>
 
 #include "obs/trace.h"
-#include "util/log.h"
 
 namespace mercury::sim {
 
@@ -131,9 +131,6 @@ bool Simulator::step() {
       rec != nullptr && rec->sim_events()) {
     rec->instant(now_.to_seconds(), "sim", label, "sim");
   }
-  if (util::Logger::instance().enabled(util::LogLevel::kDebug)) {
-    util::LogLine(util::LogLevel::kDebug, now_, "sim") << "fire " << label;
-  }
   fn();
   return true;
 }
@@ -153,8 +150,10 @@ void Simulator::run_all(std::uint64_t max_events) {
     if (++n >= max_events) {
       obs::instant(now_, "sim", "sim.runaway-guard", "sim",
                    {{"events", n}});
-      util::LogLine(util::LogLevel::kWarn, now_, "sim")
-          << "run_all stopped after " << n << " events (runaway guard)";
+      std::fprintf(stderr,
+                   "[%10.3f] sim: run_all stopped after %llu events "
+                   "(runaway guard)\n",
+                   now_.to_seconds(), static_cast<unsigned long long>(n));
       return;
     }
   }

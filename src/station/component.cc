@@ -1,12 +1,8 @@
 #include "station/component.h"
 
 #include "station/station.h"
-#include "util/log.h"
 
 namespace mercury::station {
-
-using util::LogLevel;
-using util::LogLine;
 
 Component::Component(Station& station, std::string name, ComponentTiming timing)
     : station_(station), name_(std::move(name)), timing_(timing) {}
@@ -23,7 +19,6 @@ void Component::kill() {
   restarting_ = true;
   warm_started_ = false;
   station_.bus().detach(name_);  // the process died; its TCP endpoint closes
-  LogLine(LogLevel::kInfo, station_.sim().now(), name_) << "killed";
   on_killed();
 }
 
@@ -33,8 +28,6 @@ void Component::complete_start(bool warm) {
   warm_started_ = warm;
   last_start_ = station_.sim().now();
   attach_to_bus();
-  LogLine(LogLevel::kInfo, station_.sim().now(), name_)
-      << (warm ? "started (warm)" : "started");
   on_started();
 }
 

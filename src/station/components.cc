@@ -7,7 +7,6 @@
 #include "station/fedr_pbcom_link.h"
 #include "station/station.h"
 #include "station/sync_coordinator.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::station {

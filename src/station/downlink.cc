@@ -1,7 +1,5 @@
 #include "station/downlink.h"
 
-#include "util/log.h"
-
 namespace mercury::station {
 
 using util::Duration;
@@ -51,9 +49,6 @@ void DownlinkSession::sample() {
   }
   if (current_outage_ >= config_.link_break_threshold) {
     report_.link_broken = true;
-    util::LogLine(util::LogLevel::kInfo, now, "downlink")
-        << "outage exceeded " << config_.link_break_threshold.str()
-        << "; communication link broken, session lost (§5.2)";
   }
 }
 

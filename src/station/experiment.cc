@@ -7,7 +7,6 @@
 #include "core/mercury_trees.h"
 #include "exp/runner.h"
 #include "obs/trace.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::station {

@@ -6,7 +6,6 @@
 
 #include "core/failure.h"
 #include "core/mercury_trees.h"
-#include "util/log.h"
 
 namespace mercury::station {
 

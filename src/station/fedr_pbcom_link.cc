@@ -3,13 +3,10 @@
 #include "core/failure.h"
 #include "core/mercury_trees.h"
 #include "station/station.h"
-#include "util/log.h"
 
 namespace mercury::station {
 
 namespace names = core::component_names;
-using util::LogLevel;
-using util::LogLine;
 
 FedrPbcomLink::FedrPbcomLink(Station& station) : station_(station) {}
 
@@ -39,13 +36,8 @@ void FedrPbcomLink::sever(bool ages_pbcom) {
   if (!ages_pbcom) return;
 
   ++pbcom_age_;
-  LogLine(LogLevel::kDebug, station_.sim().now(), "pbcom")
-      << "aged by connection loss (" << pbcom_age_ << "/"
-      << station_.cal().pbcom_aging_threshold << ")";
   if (pbcom_age_ >= station_.cal().pbcom_aging_threshold &&
       !station_.board().manifests_at(names::kPbcom)) {
-    LogLine(LogLevel::kInfo, station_.sim().now(), "pbcom")
-        << "aging reached threshold; pbcom fails (correlated failure, §4.2)";
     core::FailureSpec aging = core::make_crash(names::kPbcom);
     aging.kind = "aging";
     station_.board().inject(std::move(aging), station_.sim().now());
@@ -79,11 +71,7 @@ void FedrPbcomLink::retry_loop(std::uint64_t epoch) {
   if (fedr == nullptr || pbcom == nullptr) return;
   if (!fedr->up() || fedr->restarting()) return;
   if (pbcom->responsive()) {
-    if (!connected_) {
-      connected_ = true;
-      LogLine(LogLevel::kDebug, station_.sim().now(), "fedr")
-          << "connected to pbcom";
-    }
+    connected_ = true;
     return;
   }
   // pbcom not ready (restarting or manifesting): poll again.

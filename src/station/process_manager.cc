@@ -5,14 +5,11 @@
 
 #include "obs/trace.h"
 #include "station/station.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::station {
 
 using util::Duration;
-using util::LogLevel;
-using util::LogLine;
 
 ProcessManager::ProcessManager(Station& station)
     : station_(station), rng_(station.sim().rng().fork("process-manager")) {}
@@ -61,8 +58,6 @@ void ProcessManager::discard_checkpoints(const std::vector<std::string>& names) 
   for (const auto& name : names) {
     if (station_.checkpoints().suspect_discard(name)) {
       obs::incr("checkpoint.suspect_discards");
-      LogLine(LogLevel::kWarn, station_.sim().now(), name)
-          << "local checkpoint discarded (restart-path fault suspected)";
     }
   }
 }
@@ -76,9 +71,6 @@ void ProcessManager::note_parked(const std::vector<std::string>& names) {
         station_.checkpoints().on_host_parked(name, station_.sim().now());
     if (reassigned > 0) {
       obs::incr("checkpoint.parked_reassigns", reassigned);
-      LogLine(LogLevel::kWarn, station_.sim().now(), name)
-          << "parked replica host: " << reassigned
-          << " hosted checkpoint replica(s) reassigned";
     }
   }
 }
@@ -211,18 +203,12 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
   } else if (policy.enabled) {
     if (attempt > 1 && station_.checkpoints().suspect_discard(name)) {
       obs::incr("checkpoint.suspect_discards");
-      LogLine(LogLevel::kWarn, station_.sim().now(), name)
-          << "local checkpoint discarded (attempt " << attempt
-          << " of this chain; state is fault-suspected)";
     }
     const core::TierLookup lookup =
         station_.checkpoints().lookup(name, station_.sim().now());
     for (const core::TierProbe& probe : lookup.probes) {
       if (!probe.discarded) continue;
       obs::incr("checkpoint.invalid_discards");
-      LogLine(LogLevel::kWarn, station_.sim().now(), name)
-          << core::to_string(probe.tier) << " checkpoint failed validation ("
-          << core::to_string(probe.verdict) << "); deleted";
     }
     if (lookup.hit) {
       warm = true;
@@ -230,8 +216,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
       poisoned = lookup.checkpoint->poisoned;
       if (warm_tier != core::CheckpointTier::kL0Local) {
         obs::incr("checkpoint.replica_hits");
-        LogLine(LogLevel::kInfo, station_.sim().now(), name)
-            << "warm start served from " << core::to_string(warm_tier);
       }
     } else {
       // On a retry the legacy reason wins: the chain is fault-suspected no
@@ -285,8 +269,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
     // The startup never completes; nothing is scheduled. Only a superseding
     // restart (the recoverer's deadline path) moves this component again.
     station_.board().note_restart_hang(name, station_.sim().now());
-    LogLine(LogLevel::kWarn, station_.sim().now(), name)
-        << "startup hangs (restart-time fault, attempt " << attempt << ")";
     return;
   }
 
@@ -303,8 +285,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
                           {{"outcome", "crashed"}});
             proc.span = 0;
           }
-          LogLine(LogLevel::kWarn, station_.sim().now(), name)
-              << "crashed during startup (restart-time fault)";
         });
     return;
   }
@@ -331,8 +311,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
                           {{"outcome", "corrupt-checkpoint"}});
             proc.span = 0;
           }
-          LogLine(LogLevel::kWarn, station_.sim().now(), name)
-              << "crashed during warm startup (poisoned checkpoint)";
         });
     return;
   }
@@ -356,8 +334,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
               station_.checkpoints().rebuild(name, station_.sim().now());
           if (rebuilt > 0) {
             obs::incr("checkpoint.tier_rebuilds", rebuilt);
-            LogLine(LogLevel::kInfo, station_.sim().now(), name)
-                << "repopulated " << rebuilt << " checkpoint tier(s) after warm start";
           }
         }
         component->complete_start(warm);

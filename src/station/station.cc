@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "core/mercury_trees.h"
-#include "util/log.h"
 
 namespace mercury::station {
 

@@ -4,12 +4,8 @@
 
 #include "core/failure.h"
 #include "station/station.h"
-#include "util/log.h"
 
 namespace mercury::station {
-
-using util::LogLevel;
-using util::LogLine;
 
 SyncCoordinator::SyncCoordinator(Station& station, std::string a, std::string b)
     : station_(station) {
@@ -95,8 +91,6 @@ void SyncCoordinator::on_started(const std::string& component) {
       // new one — the stale-session resync bug is never tripped, so the
       // induced peer wedge (and its whole second detect+restart round) is
       // avoided. This is the ses/str chain's warm-restart win.
-      LogLine(LogLevel::kInfo, station_.sim().now(), "sync")
-          << component << " resumed checkpointed session with " << peer.name;
       self.state = State::kNegotiating;
       peer.state = State::kNegotiating;
       complete_handshake(station_.cal().sync_listen, epoch_);
@@ -106,8 +100,6 @@ void SyncCoordinator::on_started(const std::string& component) {
     // holding a stale session wedges the peer. "A failure/restart in one of
     // these components substantially always leads to a subsequent
     // failure/restart in the other."
-    LogLine(LogLevel::kInfo, station_.sim().now(), "sync")
-        << peer.name << " wedged by " << component << " resync (stale session)";
     core::FailureSpec wedge = core::make_crash(peer.name);
     wedge.kind = "induced-resync";
     station_.board().inject(std::move(wedge), station_.sim().now());
@@ -127,8 +119,6 @@ void SyncCoordinator::complete_handshake(util::Duration delay, std::uint64_t epo
     if (a_.state == State::kNegotiating && b_.state == State::kNegotiating) {
       a_.state = State::kSynced;
       b_.state = State::kSynced;
-      LogLine(LogLevel::kInfo, station_.sim().now(), "sync")
-          << a_.name << " and " << b_.name << " resynchronized";
       save_session_checkpoints();
     }
   });

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 
@@ -629,18 +630,121 @@ TEST(TraceEventCopy, CopiesOwnTheirArgsAndOutliveTheRecorder) {
   }
 }
 
-TEST(TraceExport, GoldenJsonlRereadAndRewrittenIsByteIdentical) {
+/// The committed golden batch trace (tests/data), as text.
+std::string golden_jsonl() {
   const std::string path = std::string(MERCURY_TEST_DATA_DIR) + "/golden_batch.trace.jsonl";
   std::ifstream file(path, std::ios::binary);
   std::ostringstream golden;
   golden << file.rdbuf();
-  ASSERT_FALSE(golden.str().empty()) << path;
-  std::istringstream in(golden.str());
+  return golden.str();
+}
+
+std::vector<TraceEvent> golden_events() {
+  std::istringstream in(golden_jsonl());
+  return read_jsonl(in);
+}
+
+TEST(TraceExport, GoldenJsonlRereadAndRewrittenIsByteIdentical) {
+  const std::string golden = golden_jsonl();
+  ASSERT_FALSE(golden.empty()) << "golden_batch.trace.jsonl";
+  std::istringstream in(golden);
   const std::vector<TraceEvent> events = read_jsonl(in);
   ASSERT_FALSE(events.empty());
   std::ostringstream rewritten;
   write_jsonl(events, rewritten);
-  EXPECT_EQ(rewritten.str(), golden.str());
+  EXPECT_EQ(rewritten.str(), golden);
+}
+
+// --- Narration ---------------------------------------------------------------
+// narrate() over the golden batch: six traced trials, each run's clock
+// starting at zero.
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Narrate, WritesOneLinePerEvent) {
+  const std::vector<TraceEvent> events = golden_events();
+  ASSERT_FALSE(events.empty());
+  const std::vector<std::string> lines = lines_of(narrate(events));
+  ASSERT_EQ(lines.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_NE(lines[i].find("] " + events[i].track.str() + " " + events[i].name.str()),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[1],
+            "[     3.682] board fault.manifest manifest=ses cure=ses kind=crash id=1");
+}
+
+TEST(Narrate, TimestampsNeverDecreaseWithinARun) {
+  const std::vector<TraceEvent> events = golden_events();
+  const std::vector<std::string> lines = lines_of(narrate(events));
+  ASSERT_EQ(lines.size(), events.size());
+  std::map<std::uint64_t, double> last_of_run;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(lines[i].front(), '[') << lines[i];
+    const double t = std::stod(lines[i].substr(1, lines[i].find(']') - 1));
+    const auto [it, first] = last_of_run.try_emplace(events[i].run, t);
+    if (!first) {
+      EXPECT_GE(t, it->second) << lines[i];
+      it->second = t;
+    }
+  }
+  EXPECT_EQ(last_of_run.size(), 6u);
+}
+
+TEST(Narrate, RestartEndLinesCarryDurationAndOutcome) {
+  const std::vector<TraceEvent> events = golden_events();
+  const std::vector<std::string> lines = lines_of(narrate(events));
+  ASSERT_EQ(lines.size(), events.size());
+  std::map<std::uint64_t, double> begun_at;
+  int restart_ends = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& event = events[i];
+    if (event.kind == EventKind::kBegin) begun_at[event.span] = event.t;
+    if (event.kind != EventKind::kEnd || !event.name.view().starts_with("restart:")) {
+      continue;
+    }
+    ++restart_ends;
+    const std::string duration =
+        util::format_fixed(event.t - begun_at.at(event.span), 3);
+    EXPECT_NE(lines[i].find(" end (" + duration + " s)"), std::string::npos)
+        << lines[i];
+    const std::string outcome = event.arg_or("outcome");
+    ASSERT_FALSE(outcome.empty()) << lines[i];
+    EXPECT_NE(lines[i].find(" outcome=" + outcome), std::string::npos) << lines[i];
+  }
+  EXPECT_GT(restart_ends, 0);
+  // The first trial's ses restart, spelled out.
+  EXPECT_EQ(lines[12], "[     8.184] pm restart:ses end (4.191 s) outcome=ready");
+}
+
+TEST(Narrate, LiveRecorderMatchesTheJsonlCopy) {
+  // The golden fixture is the merged trace of this batch (pinned by
+  // ExperimentRunner.GoldenBatchByteIdenticalToCommittedFixture), so a live
+  // recording of it must narrate exactly like the re-read file.
+  std::vector<station::TrialSpec> specs;
+  for (const std::string component : {"ses", "str", "rtu"}) {
+    for (std::uint64_t seed : {21ull, 22ull}) {
+      station::TrialSpec spec;
+      spec.tree = core::MercuryTree::kTreeIV;
+      spec.oracle = station::OracleKind::kPerfect;
+      spec.fail_component = component;
+      spec.seed = seed;
+      specs.push_back(std::move(spec));
+    }
+  }
+  TraceRecorder live;
+  {
+    ScopedRecorder scope(live);
+    station::run_trial_batch(specs);
+  }
+  ASSERT_FALSE(live.events().empty());
+  EXPECT_EQ(narrate(live.events()), narrate(golden_events()));
 }
 
 /// One synthetic trial whose labels are private to `tag` (so recorders

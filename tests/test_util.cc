@@ -1,13 +1,11 @@
-// Unit tests: util (rng, stats, strings, time, result, log).
+// Unit tests: util (rng, stats, strings, time, result).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
-#include "util/log.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -357,45 +355,6 @@ TEST(Status, OkAndError) {
   Status bad = Error("nope");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().message(), "nope");
-}
-
-// --- Log ---------------------------------------------------------------------
-
-/// Counts how often it is streamed: a disabled LogLine must never format it.
-struct Probe {
-  int* formatted;
-};
-std::ostream& operator<<(std::ostream& os, const Probe& probe) {
-  ++*probe.formatted;
-  return os << "probe";
-}
-
-TEST(Log, DisabledLineFormatsNothingAndEnabledLineIsUnchanged) {
-  Logger& logger = Logger::instance();
-  const LogLevel saved = logger.level();
-  std::vector<std::string> lines;
-  logger.set_sink([&](LogLevel, TimePoint, std::string_view component,
-                      std::string_view message) {
-    lines.push_back(std::string(component) + "|" + std::string(message));
-  });
-  int formatted = 0;
-
-  logger.set_level(LogLevel::kWarn);
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  LogLine(LogLevel::kInfo, TimePoint::from_seconds(1.0), "rec")
-      << "restarting " << Probe{&formatted} << ' ' << 3;
-  EXPECT_EQ(formatted, 0);
-  EXPECT_TRUE(lines.empty());
-
-  logger.set_level(LogLevel::kInfo);
-  LogLine(LogLevel::kInfo, TimePoint::from_seconds(1.0), "rec")
-      << "restarting " << Probe{&formatted} << ' ' << 3 << " after " << 2.5;
-  EXPECT_EQ(formatted, 1);
-  EXPECT_EQ(lines, std::vector<std::string>{"rec|restarting probe 3 after 2.5"});
-
-  logger.set_level(saved);
-  logger.set_sink(nullptr);
 }
 
 }  // namespace
