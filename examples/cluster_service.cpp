@@ -114,7 +114,7 @@ int main() {
   // from decision.
   const double detection_latency = 0.5;
   board.add_inject_listener([&](const core::ActiveFailure& failure) {
-    const std::string component = failure.spec.manifest;
+    const std::string component = failure.spec->manifest;
     sim.schedule_after(Duration::seconds(detection_latency), "detect", [&, component] {
       obs::instant(sim.now(), "detect", "fd.report", "fd",
                    {{"component", component}});

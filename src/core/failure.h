@@ -15,6 +15,7 @@
 // A_cure (§4): every failure here is restart-curable by construction.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,9 @@ struct FailureSpec {
   bool soft_curable = false;
   /// Free-form tag for logs/telemetry ("crash", "joint", "induced-resync").
   std::string kind = "crash";
+
+  /// By value, field by field (the board interns equal specs once).
+  friend auto operator<=>(const FailureSpec&, const FailureSpec&) = default;
 };
 
 FailureSpec make_crash(std::string component);
@@ -49,13 +53,21 @@ FailureSpec make_stale_attachment(std::string component);
 
 struct ActiveFailure {
   FailureId id = 0;
-  FailureSpec spec;
   util::TimePoint onset;
-  /// Cure-set members that have completed a restart since onset.
-  std::vector<std::string> restarted;
+  /// The failure's spec, interned in its FailureBoard's spec pool: shared by
+  /// every failure injected with an equal spec, valid while the board lives.
+  const FailureSpec* spec = nullptr;
+  /// Bit i is set once spec->cure_set[i] has completed a restart since onset.
+  std::uint32_t restarted = 0;
 
-  bool cured() const { return restarted.size() == spec.cure_set.size(); }
+  bool cured() const {
+    return restarted == (std::uint64_t{1} << spec->cure_set.size()) - 1;
+  }
 };
+
+/// A never-cured failure (the Table-1 run keeps ~10^5 of them) costs one
+/// small record; the spec it points to is shared.
+static_assert(sizeof(ActiveFailure) <= 32, "ActiveFailure must stay compact");
 
 /// Restart-time fault model: the cure itself is a fault domain. A restart
 /// attempt of a component can hang (startup never completes), crash during

@@ -14,9 +14,9 @@ namespace {
 /// (obs/phases.h): detection latency is measured from fault.manifest.
 void trace_cured(const ActiveFailure& failure, util::TimePoint now) {
   obs::instant(now, "fault", "fault.cured", "board",
-               {{"manifest", failure.spec.manifest},
+               {{"manifest", failure.spec->manifest},
                 {"id", failure.id},
-                {"kind", failure.spec.kind}});
+                {"kind", failure.spec->kind}});
   obs::incr("faults.cured");
   obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
 }
@@ -55,16 +55,23 @@ FailureSpec make_joint(std::string manifest, std::vector<std::string> cure_set) 
 FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
   assert(!spec.manifest.empty());
   assert(!spec.cure_set.empty());
+  // One restarted bit per distinct member: a repeated member would leave a
+  // bit that no restart sets.
+  auto& cure_set = spec.cure_set;
+  for (auto it = cure_set.begin(); it != cure_set.end();) {
+    it = std::find(cure_set.begin(), it, *it) != it ? cure_set.erase(it) : it + 1;
+  }
+  assert(cure_set.size() <= 32 && "restarted is a 32-bit mask");
   ActiveFailure failure;
   failure.id = next_id_++;
-  failure.spec = std::move(spec);
+  failure.spec = &*specs_.insert(std::move(spec)).first;
   failure.onset = now;
   active_.push_back(failure);
   if (obs::enabled()) {
     obs::instant(now, "fault", "fault.manifest", "board",
-                 {{"manifest", active_.back().spec.manifest},
-                  {"cure", util::join(active_.back().spec.cure_set, ",")},
-                  {"kind", active_.back().spec.kind},
+                 {{"manifest", failure.spec->manifest},
+                  {"cure", util::join(failure.spec->cure_set, ",")},
+                  {"kind", failure.spec->kind},
                   {"id", failure.id}});
   }
   obs::incr("faults.injected");
@@ -76,14 +83,10 @@ void FailureBoard::on_restart_complete(const std::string& component,
                                        util::TimePoint now) {
   std::vector<ActiveFailure> cured;
   for (auto& failure : active_) {
-    const auto& cure_set = failure.spec.cure_set;
-    if (std::find(cure_set.begin(), cure_set.end(), component) == cure_set.end()) {
-      continue;
-    }
-    if (std::find(failure.restarted.begin(), failure.restarted.end(), component) ==
-        failure.restarted.end()) {
-      failure.restarted.push_back(component);
-    }
+    const auto& cure_set = failure.spec->cure_set;
+    const auto member = std::find(cure_set.begin(), cure_set.end(), component);
+    if (member == cure_set.end()) continue;
+    failure.restarted |= std::uint32_t{1} << (member - cure_set.begin());
     if (failure.cured()) cured.push_back(failure);
   }
   if (cured.empty()) return;
@@ -101,15 +104,15 @@ void FailureBoard::on_soft_recovery_complete(const std::string& component,
                                              util::TimePoint now) {
   std::vector<ActiveFailure> cured;
   for (const auto& failure : active_) {
-    if (failure.spec.soft_curable && failure.spec.manifest == component) {
+    if (failure.spec->soft_curable && failure.spec->manifest == component) {
       cured.push_back(failure);
     }
   }
   if (cured.empty()) return;
   active_.erase(std::remove_if(active_.begin(), active_.end(),
                                [&](const ActiveFailure& f) {
-                                 return f.spec.soft_curable &&
-                                        f.spec.manifest == component;
+                                 return f.spec->soft_curable &&
+                                        f.spec->manifest == component;
                                }),
                 active_.end());
   total_cured_ += cured.size();
@@ -121,14 +124,14 @@ void FailureBoard::on_soft_recovery_complete(const std::string& component,
 
 bool FailureBoard::manifests_at(const std::string& component) const {
   return std::any_of(active_.begin(), active_.end(), [&](const ActiveFailure& f) {
-    return f.spec.manifest == component;
+    return f.spec->manifest == component;
   });
 }
 
 std::vector<ActiveFailure> FailureBoard::active_at(const std::string& component) const {
   std::vector<ActiveFailure> out;
   for (const auto& failure : active_) {
-    if (failure.spec.manifest == component) out.push_back(failure);
+    if (failure.spec->manifest == component) out.push_back(failure);
   }
   return out;
 }

@@ -10,10 +10,17 @@
 //
 // The perfect oracle (an idealization the paper assumes in A_oracle) reads
 // cure sets from the board; realistic oracles never do.
+//
+// Storage: a run without a repair loop keeps every failure it ever injected
+// (~10^5 in the two-year Table-1 run), so each is a 32-byte ActiveFailure
+// pointing at a shared spec, and the records sit in a deque, which grows
+// without moving the ones already stored.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,7 +34,8 @@ class FailureBoard {
   using CureListener = std::function<void(const ActiveFailure&, util::TimePoint)>;
   using InjectListener = std::function<void(const ActiveFailure&)>;
 
-  /// Activate a failure; returns its id.
+  /// Activate a failure; returns its id. Repeated cure-set members are
+  /// dropped (first-seen order kept); at most 32 distinct members.
   FailureId inject(FailureSpec spec, util::TimePoint now);
 
   /// Record that `component` completed a restart; cures any failure whose
@@ -46,7 +54,7 @@ class FailureBoard {
   /// Active failures manifesting at `component` (usually zero or one).
   std::vector<ActiveFailure> active_at(const std::string& component) const;
 
-  const std::vector<ActiveFailure>& active() const { return active_; }
+  const std::deque<ActiveFailure>& active() const { return active_; }
   bool any_active() const { return !active_.empty(); }
 
   /// Forcibly clear a failure (used by tests); returns false if unknown.
@@ -84,7 +92,11 @@ class FailureBoard {
   std::uint64_t restart_crashes() const { return restart_crashes_; }
 
  private:
-  std::vector<ActiveFailure> active_;
+  /// Active failures in injection (= id) order.
+  std::deque<ActiveFailure> active_;
+  /// Every distinct spec injected so far; set nodes never move, so the
+  /// records' spec pointers stay valid for the board's lifetime.
+  std::set<FailureSpec> specs_;
   std::vector<CureListener> cure_listeners_;
   std::vector<InjectListener> inject_listeners_;
   std::map<std::string, RestartFaultSpec> restart_faults_;

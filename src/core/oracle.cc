@@ -49,7 +49,7 @@ NodeId PerfectOracle::choose(const OracleQuery& query) {
   // the common case there is exactly one).
   std::vector<std::string> cure;
   for (const auto& failure : board_->active_at(query.failed_component)) {
-    for (const auto& member : failure.spec.cure_set) {
+    for (const auto& member : failure.spec->cure_set) {
       if (std::find(cure.begin(), cure.end(), member) == cure.end()) {
         cure.push_back(member);
       }

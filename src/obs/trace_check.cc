@@ -105,6 +105,9 @@ struct RunFacts {
   std::optional<double> reported_recovery;  // trial.recovered "recovery" arg
   std::optional<double> first_manifest_t;
   /// Outstanding fault ids -> (manifest component, onset t); erased on cure.
+  /// Only lost-kill reads it, and only for harness trials, so it is kept
+  /// only in runs with a trial.start: a background campaign's ~10^5
+  /// never-cured faults cost nothing here.
   std::map<std::uint64_t, std::pair<Label, double>> open_faults;
 };
 
@@ -141,6 +144,13 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
   /// conflicting-restart overlap check.
   std::map<std::uint64_t, OpenAction> open_actions;
   std::map<std::uint64_t, RunFacts> runs;
+  // A first pass finds the harness trials, so the main pass knows whether
+  // a run's faults need tracking before its trial.start goes by.
+  for (const TraceEvent& event : events) {
+    if (event.category == n.sim && event.name == n.trial_start) {
+      runs[event.run].has_trial_start = true;
+    }
+  }
   // Events arrive grouped by run, so the last run's facts are usually the
   // ones wanted (map nodes never move).
   RunFacts* facts_of_last_run = nullptr;
@@ -153,9 +163,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
     }
     RunFacts& facts = *facts_of_last_run;
 
-    if (event.category == n.sim && event.name == n.trial_start) {
-      facts.has_trial_start = true;
-    } else if (event.category == n.sim && event.name == n.trial_recovered) {
+    if (event.category == n.sim && event.name == n.trial_recovered) {
       facts.has_recovered = true;
       facts.recovered_t = event.t;
       const TraceArg* recovery = event.find_arg(n.recovery);
@@ -166,7 +174,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
     } else if (event.category == n.fault && event.name == n.fault_manifest) {
       if (!facts.first_manifest_t.has_value()) facts.first_manifest_t = event.t;
       std::uint64_t id = 0;
-      if (u64_arg(event, n.id, id)) {
+      if (facts.has_trial_start && u64_arg(event, n.id, id)) {
         facts.open_faults[id] = {event.text_arg(n.manifest), event.t};
       }
     } else if (event.category == n.fault && event.name == n.fault_cured) {

@@ -37,7 +37,7 @@ Station::Station(sim::Simulator& sim, StationConfig config)
     // §4.2: "when fedr fails, its connection to pbcom is severed" — a crash
     // (not only a kill) drops the TCP connection and ages pbcom.
     board_.add_inject_listener([this](const core::ActiveFailure& failure) {
-      if (failure.spec.manifest == names::kFedr && failure.spec.kind == "crash") {
+      if (failure.spec->manifest == names::kFedr && failure.spec->kind == "crash") {
         link_->on_fedr_crash_manifested();
       }
     });
@@ -53,7 +53,7 @@ Station::Station(sim::Simulator& sim, StationConfig config)
   // outage correctly. Soft-curable transients (a stale attachment) leave
   // the bus process running.
   board_.add_inject_listener([this](const core::ActiveFailure& failure) {
-    if (failure.spec.manifest == names::kMbus && !failure.spec.soft_curable) {
+    if (failure.spec->manifest == names::kMbus && !failure.spec->soft_curable) {
       bus_->crash();
     }
   });
@@ -65,8 +65,8 @@ Station::Station(sim::Simulator& sim, StationConfig config)
   // its partner leaves only stable storage between it and a cold start.
   if (config_.checkpoints.enabled) {
     board_.add_inject_listener([this](const core::ActiveFailure& failure) {
-      if (!failure.spec.soft_curable) {
-        checkpoints_.on_host_down(failure.spec.manifest);
+      if (!failure.spec->soft_curable) {
+        checkpoints_.on_host_down(failure.spec->manifest);
       }
     });
   }
@@ -132,7 +132,7 @@ bool Station::all_functional() const {
 bool Station::functional_except(const std::set<std::string>& excluded) const {
   if (!bus_->online()) return false;
   for (const auto& failure : board_.active()) {
-    if (!excluded.contains(failure.spec.manifest)) return false;
+    if (!excluded.contains(failure.spec->manifest)) return false;
   }
   for (const auto& [name, component] : components_) {
     if (excluded.contains(name)) continue;

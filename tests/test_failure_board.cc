@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/failure_board.h"
+#include "obs/trace.h"
 
 namespace mercury::core {
 namespace {
@@ -106,7 +107,7 @@ TEST(FailureBoard, ListenersFire) {
   board.add_cure_listener([&](const ActiveFailure& failure, TimePoint now) {
     ++cured;
     cure_time = now;
-    EXPECT_EQ(failure.spec.manifest, "ses");
+    EXPECT_EQ(failure.spec->manifest, "ses");
   });
   board.inject(make_crash("ses"), at(0.0));
   EXPECT_EQ(injected, 1);
@@ -146,6 +147,94 @@ TEST(FailureBoard, ClearDoesNotFireListenersOrCountAsCured) {
   board.on_restart_complete("ses", at(2.0));
   EXPECT_EQ(cures, 1);
   EXPECT_EQ(injects, 2);
+}
+
+TEST(FailureBoard, RepeatedCureSetMemberNeedsOneRestart) {
+  FailureBoard board;
+  FailureSpec spec;
+  spec.manifest = "ses";
+  spec.cure_set = {"ses", "ses"};
+  board.inject(std::move(spec), at(0.0));
+  board.on_restart_complete("ses", at(5.0));
+  EXPECT_FALSE(board.any_active());
+  EXPECT_EQ(board.total_cured(), 1u);
+}
+
+TEST(FailureBoard, InjectDropsRepeatedMembersInFirstSeenOrder) {
+  FailureBoard board;
+  FailureSpec spec;
+  spec.manifest = "str";
+  spec.cure_set = {"str", "ses", "str", "rtu", "ses"};
+  board.inject(std::move(spec), at(0.0));
+  ASSERT_EQ(board.active().size(), 1u);
+  EXPECT_EQ(board.active().front().spec->cure_set,
+            (std::vector<std::string>{"str", "ses", "rtu"}));
+}
+
+TEST(FailureBoard, EqualSpecsShareOneInternedCopy) {
+  FailureBoard board;
+  board.inject(make_crash("ses"), at(0.0));
+  board.inject(make_joint("pbcom", {"fedr", "pbcom"}), at(1.0));
+  board.inject(make_crash("ses"), at(2.0));
+  board.inject(make_stale_attachment("ses"), at(3.0));
+  const auto& active = board.active();
+  ASSERT_EQ(active.size(), 4u);
+  EXPECT_EQ(active[0].spec, active[2].spec);
+  EXPECT_NE(active[0].spec, active[3].spec);  // same component, other kind
+  EXPECT_NE(active[0].spec, active[1].spec);
+}
+
+TEST(FailureBoard, CuresAtScaleInAscendingIdOrder) {
+  // 100k crashes of fedr and pbcom with a joint {fedr,pbcom} failure after
+  // every fourth: restarting fedr cures its crashes only; restarting pbcom
+  // then cures the rest, crashes and joints interleaved by id.
+  constexpr int kCrashes = 100000;
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scope(recorder);
+  FailureBoard board;
+  std::vector<FailureId> cured_ids;
+  board.add_cure_listener([&](const ActiveFailure& failure, TimePoint) {
+    cured_ids.push_back(failure.id);
+  });
+  std::vector<FailureId> fedr_crashes, pbcom_cures;
+  for (int i = 0; i < kCrashes; ++i) {
+    const TimePoint now = at(i);
+    if (i % 2 == 0) {
+      fedr_crashes.push_back(board.inject(make_crash("fedr"), now));
+    } else {
+      pbcom_cures.push_back(board.inject(make_crash("pbcom"), now));
+    }
+    if (i % 4 == 3) {
+      pbcom_cures.push_back(
+          board.inject(make_joint("pbcom", {"fedr", "pbcom"}), now));
+    }
+  }
+  const std::uint64_t joints = kCrashes / 4;
+  ASSERT_EQ(board.total_injected(), kCrashes + joints);
+
+  board.on_restart_complete("fedr", at(kCrashes));
+  EXPECT_EQ(cured_ids, fedr_crashes);
+  EXPECT_EQ(board.total_cured(), fedr_crashes.size());
+  EXPECT_FALSE(board.manifests_at("fedr"));
+  EXPECT_EQ(board.active().size(), pbcom_cures.size());
+
+  board.on_restart_complete("pbcom", at(kCrashes + 1.0));
+  std::vector<FailureId> expected = fedr_crashes;
+  expected.insert(expected.end(), pbcom_cures.begin(), pbcom_cures.end());
+  EXPECT_EQ(cured_ids, expected);
+  EXPECT_EQ(board.total_cured(), board.total_injected());
+  EXPECT_FALSE(board.any_active());
+
+  // The trace's fault.cured events name the same ids in the same order.
+  std::vector<FailureId> traced_ids;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.name != "fault.cured") continue;
+    std::uint64_t id = 0;
+    ASSERT_TRUE(event.find_arg(obs::Label("id"))->to_u64(id));
+    traced_ids.push_back(id);
+  }
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(traced_ids, expected);
 }
 
 TEST(FailureBoard, CountersTrack) {

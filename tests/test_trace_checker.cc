@@ -3,6 +3,7 @@
 // including after a JSONL round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -302,6 +303,60 @@ TEST(TraceChecker, RunsWithoutTrialStartAreExemptFromHarnessInvariants) {
             0, {{"manifest", "rtu"}, {"id", "4"}}),
   };
   EXPECT_TRUE(check_trace(campaign).empty());
+}
+
+TEST(TraceChecker, ManyUncuredFaultsWithoutTrialStartRaiseNothing) {
+  // bench_table1's shape at scale: 10k never-cured faults in a run with no
+  // trial.start, then a clean harness trial in the next run.
+  std::vector<TraceEvent> events;
+  for (std::uint64_t id = 1; id <= 10000; ++id) {
+    events.push_back(event(static_cast<double>(id), EventKind::kInstant,
+                           "fault", "fault.manifest", "board", 0, 0,
+                           {{"manifest", "fedrcom"}, {"id", std::to_string(id)}}));
+  }
+  for (TraceEvent& e : recovered_trial("5.000000")) events.push_back(e);
+  const auto issues = check_trace(events);
+  EXPECT_TRUE(issues.empty()) << describe(issues);
+}
+
+TEST(TraceChecker, UncuredFaultOfRecoveredTrialKeepsItsLostKillReport) {
+  std::vector<TraceEvent> uncured = recovered_trial("5.000000");
+  uncured.erase(uncured.begin() + 6);  // drop fault.cured
+  // Also with trial.start after the fault: the run is a trial either way.
+  std::vector<TraceEvent> late_start = uncured;
+  std::rotate(late_start.begin(), late_start.begin() + 1,
+              late_start.begin() + 2);
+  ASSERT_EQ(late_start[1].name, "trial.start");
+  for (const auto& events : {uncured, late_start}) {
+    const auto issues = check_trace(events);
+    ASSERT_EQ(issues.size(), 1u) << describe(issues);
+    EXPECT_EQ(issues[0].invariant, "lost-kill");
+    EXPECT_EQ(issues[0].run, 1u);
+    EXPECT_EQ(issues[0].component, "ses");
+    EXPECT_EQ(issues[0].t, 10.0);
+    EXPECT_EQ(issues[0].detail,
+              "fault id 1 never cured although the trial recovered");
+  }
+}
+
+TEST(TraceChecker, UnresolvedTrialNamesItsLowestOpenFault) {
+  const std::vector<TraceEvent> events = {
+      event(0.0, EventKind::kInstant, "sim", "trial.start", "trial", 1),
+      event(10.0, EventKind::kInstant, "fault", "fault.manifest", "board", 1, 0,
+            {{"manifest", "rtu"}, {"id", "9"}}),
+      event(11.0, EventKind::kInstant, "fault", "fault.manifest", "board", 1, 0,
+            {{"manifest", "ses"}, {"id", "3"}}),
+      event(12.0, EventKind::kInstant, "fault", "fault.manifest", "board", 1, 0,
+            {{"manifest", "str"}, {"id", "5"}}),
+      event(13.0, EventKind::kInstant, "fault", "fault.cured", "board", 1, 0,
+            {{"manifest", "ses"}, {"id", "3"}}),
+  };
+  const auto issues = check_trace(events);
+  ASSERT_EQ(issues.size(), 1u) << describe(issues);
+  EXPECT_EQ(issues[0].invariant, "lost-kill");
+  EXPECT_EQ(issues[0].component, "str");
+  EXPECT_EQ(issues[0].t, 10.0);
+  EXPECT_EQ(issues[0].detail, "trial neither recovered nor parked by end of trace");
 }
 
 // --- Golden traces from real trials ----------------------------------------
