@@ -216,8 +216,22 @@ SystemModel mercury_system_model(bool split_fedrcom, double oracle_p_low,
 
 // --- Client-traffic availability accounting (ISSUE 9) ----------------------
 
-void TrafficAccount::record(RequestRecord record) {
-  records_.push_back(std::move(record));
+std::string_view to_string(RequestOutcome outcome) {
+  switch (outcome) {
+    case RequestOutcome::kServed:
+      return "";
+    case RequestOutcome::kTimeout:
+      return "timeout";
+    case RequestOutcome::kRejectedRestarting:
+      return "rejected-restarting";
+    case RequestOutcome::kRejectedParked:
+      return "rejected-parked";
+  }
+  return "?";
+}
+
+void TrafficAccount::record(const RequestRecord& record) {
+  records_.push_back(record);
 }
 
 TrafficSummary TrafficAccount::summarize(double inject_t, double end_t,
@@ -227,16 +241,17 @@ TrafficSummary TrafficAccount::summarize(double inject_t, double end_t,
 
   util::SampleStats latency_ms;
   for (const RequestRecord& record : records_) {
-    if (record.served) {
+    if (record.served()) {
       ++summary.served;
       latency_ms.add((record.done_t - record.sent_t) * 1000.0);
     } else {
       ++summary.lost;
     }
     if (record.attempts > 1) ++summary.retried;
-    summary.restarting_rejections +=
-        static_cast<std::uint64_t>(std::max(0, record.restarting_nacks));
-    if (record.detail == "rejected-parked") ++summary.parked_rejections;
+    summary.restarting_rejections += record.restarting_nacks;
+    if (record.outcome == RequestOutcome::kRejectedParked) {
+      ++summary.parked_rejections;
+    }
   }
   if (!latency_ms.empty()) {
     summary.p50_ms = latency_ms.percentile(50.0);
@@ -250,7 +265,7 @@ TrafficSummary TrafficAccount::summarize(double inject_t, double end_t,
   std::uint64_t served_before = 0;
   std::map<std::int64_t, std::uint64_t> served_by_bin;
   for (const RequestRecord& record : records_) {
-    if (!record.served) continue;
+    if (!record.served()) continue;
     if (record.done_t < inject_t) ++served_before;
     served_by_bin[static_cast<std::int64_t>(record.done_t / bin_s)] += 1;
   }
@@ -284,24 +299,26 @@ TrafficSummary TrafficAccount::summarize(double inject_t, double end_t,
 
   // Service-reopen latency per impacted route: max over routes that lost a
   // post-injection request of (first post-injection serve - inject).
-  std::map<std::string, double> first_served_after;
-  std::map<std::string, bool> impacted;
+  std::size_t routes = 0;
   for (const RequestRecord& record : records_) {
-    if (record.served && record.done_t >= inject_t) {
-      const auto it = first_served_after.find(record.target);
-      if (it == first_served_after.end() || record.done_t < it->second) {
-        first_served_after[record.target] = record.done_t;
-      }
+    routes = std::max<std::size_t>(routes, record.route + std::size_t{1});
+  }
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  std::vector<double> first_served_after(routes, kNever);
+  std::vector<bool> impacted(routes, false);
+  for (const RequestRecord& record : records_) {
+    if (record.served() && record.done_t >= inject_t) {
+      double& first = first_served_after[record.route];
+      first = std::min(first, record.done_t);
     }
-    if (!record.served && record.sent_t >= inject_t) {
-      impacted[record.target] = true;
+    if (!record.served() && record.sent_t >= inject_t) {
+      impacted[record.route] = true;
     }
   }
-  for (const auto& [route, was_impacted] : impacted) {
-    if (!was_impacted) continue;
-    const auto it = first_served_after.find(route);
-    const double reopen = (it == first_served_after.end() ? end_t : it->second) -
-                          inject_t;
+  for (std::size_t route = 0; route < routes; ++route) {
+    if (!impacted[route]) continue;
+    const double first = first_served_after[route];
+    const double reopen = (first == kNever ? end_t : first) - inject_t;
     summary.worst_route_reopen_s =
         std::max(summary.worst_route_reopen_s, reopen);
   }

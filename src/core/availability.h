@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/restart_tree.h"
@@ -118,21 +119,37 @@ SystemModel mercury_system_model(bool split_fedrcom, double oracle_p_low = 0.0,
 // percentiles over served requests, a binned goodput timeline, and the
 // goodput dip (depth / width / end) relative to the pre-injection baseline.
 
+/// How a client request resolved: served, or lost for one of three reasons.
+enum class RequestOutcome : std::uint8_t {
+  kServed,
+  kTimeout,             ///< the last attempt's response deadline passed
+  kRejectedRestarting,  ///< the last attempt drew a typed "restarting" nack
+  kRejectedParked,      ///< the route was parked: rejected locally
+};
+
+/// Loss reason as text: "" (served) | "timeout" | "rejected-restarting" |
+/// "rejected-parked" — the outcome log's and request span's `detail`.
+std::string_view to_string(RequestOutcome outcome);
+
 /// One client request, resolved. Every issued request resolves exactly once
 /// (served, or lost after its retry budget) — the workload driver enforces
-/// this, and benches assert issued == served + lost.
+/// this, and benches assert issued == served + lost. A plain 24-byte record:
+/// the session and route names live in the driver's session table.
 struct RequestRecord {
   double sent_t = 0.0;  ///< first-attempt issue time, seconds
   double done_t = 0.0;  ///< resolution time, seconds
-  int attempts = 1;     ///< send attempts consumed (> 1 means retried)
-  bool served = false;
-  std::string target;  ///< route: the component the session addresses
+  /// Route id: the driver numbers each distinct session target.
+  std::uint16_t route = 0;
+  std::uint16_t session = 0;  ///< index of the issuing session
+  std::uint8_t attempts = 1;  ///< send attempts consumed (> 1 means retried)
   /// Typed "restarting" rejections this request saw (fast-retry signal).
-  int restarting_nacks = 0;
-  /// Final loss reason: "" (served) | "timeout" | "rejected-restarting" |
-  /// "rejected-parked".
-  std::string detail;
+  std::uint8_t restarting_nacks = 0;
+  RequestOutcome outcome = RequestOutcome::kServed;
+
+  bool served() const { return outcome == RequestOutcome::kServed; }
 };
+static_assert(sizeof(RequestRecord) <= 24,
+              "one RequestRecord per client request: keep it at 24 bytes");
 
 /// Aggregate availability figures for one trial's traffic.
 struct TrafficSummary {
@@ -165,7 +182,7 @@ struct TrafficSummary {
 
 class TrafficAccount {
  public:
-  void record(RequestRecord record);
+  void record(const RequestRecord& record);
 
   const std::vector<RequestRecord>& records() const { return records_; }
   std::uint64_t issued() const { return records_.size(); }

@@ -152,8 +152,9 @@ struct TrialSpec {
     int max_attempts = 4;
     /// Emit per-request "traffic.request" spans (checker-gated trials).
     bool trace_requests = false;
-    /// Keep the deterministic per-request outcome log on the result
-    /// (byte-identity tests; costs memory on big trials).
+    /// Render the deterministic per-request outcome log onto the result
+    /// (byte-identity tests). The log is rendered from the traffic
+    /// account's records at trial end, only when this asks for it.
     bool keep_outcome_log = false;
   };
   Traffic traffic;

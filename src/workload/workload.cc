@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "exp/seed_stream.h"
@@ -23,16 +25,29 @@ WorkloadDriver::WorkloadDriver(sim::Simulator& sim, bus::MessageBus& bus,
       config_(std::move(config)) {
   assert(!command_targets_.empty() || config_.command_sessions == 0);
   assert(!telemetry_targets_.empty() || config_.telemetry_sessions == 0);
-  const exp::SeedStream seeds(config_.seed);
+  // core::RequestRecord counts attempts in a byte and names its session by a
+  // 16-bit index; past these limits the records would wrap silently.
+  if (config_.max_attempts > std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument("WorkloadDriver: max_attempts above 255");
+  }
   const int total = config_.command_sessions + config_.telemetry_sessions;
+  if (total > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument("WorkloadDriver: more than 65535 sessions");
+  }
+  const exp::SeedStream seeds(config_.seed);
+  std::vector<std::string> routes;  // distinct targets, indexed by route id
   sessions_.reserve(static_cast<std::size_t>(std::max(0, total)));
   for (int i = 0; i < total; ++i) {
     const bool command = i < config_.command_sessions;
     const auto& targets = command ? command_targets_ : telemetry_targets_;
     const int lane = command ? i : i - config_.command_sessions;
+    const std::string& target =
+        targets[static_cast<std::size_t>(lane) % targets.size()];
+    auto route = std::find(routes.begin(), routes.end(), target);
+    if (route == routes.end()) route = routes.insert(route, target);
     sessions_.push_back(Session{
-        "cli." + std::to_string(i),
-        targets[static_cast<std::size_t>(lane) % targets.size()],
+        "cli." + std::to_string(i), target,
+        static_cast<std::uint16_t>(route - routes.begin()),
         util::Rng(seeds.trial_seed(static_cast<std::uint64_t>(i))),
         sim::EventId{}});
   }
@@ -105,7 +120,7 @@ void WorkloadDriver::send_attempt(Request request) {
   // immediately — burning the retry budget against a route that will not
   // come back only inflates latency tails.
   if (parked_ && parked_(session.target)) {
-    resolve(std::move(request), /*served=*/false, "rejected-parked");
+    resolve(std::move(request), core::RequestOutcome::kRejectedParked);
     return;
   }
   const std::uint64_t seq = next_seq_++;
@@ -131,7 +146,7 @@ void WorkloadDriver::on_receive(std::size_t session_index,
     request.timeout_event = sim::EventId{};
   }
   if (message.kind == msg::Kind::kPong) {
-    resolve(std::move(request), /*served=*/true, "");
+    resolve(std::move(request), core::RequestOutcome::kServed);
     return;
   }
   // Typed mid-restart rejection from the bus: fast, actionable failure — the
@@ -140,7 +155,7 @@ void WorkloadDriver::on_receive(std::size_t session_index,
   ++restarting_nacks_;
   ++request.restarting_nacks;
   if (touch_) touch_(sessions_[session_index].target);
-  retry_or_lose(std::move(request), "rejected-restarting");
+  retry_or_lose(std::move(request), core::RequestOutcome::kRejectedRestarting);
 }
 
 void WorkloadDriver::on_timeout(std::uint64_t seq) {
@@ -156,13 +171,13 @@ void WorkloadDriver::on_timeout(std::uint64_t seq) {
   // client's only evidence the route is down. Touch it anyway — touch is a
   // no-op unless a restart is actually queued for the route.
   if (touch_) touch_(sessions_[request.session].target);
-  retry_or_lose(std::move(request), "timeout");
+  retry_or_lose(std::move(request), core::RequestOutcome::kTimeout);
 }
 
 void WorkloadDriver::retry_or_lose(Request request,
-                                   const std::string& lost_detail) {
+                                   core::RequestOutcome lost_outcome) {
   if (request.attempts >= config_.max_attempts) {
-    resolve(std::move(request), /*served=*/false, lost_detail);
+    resolve(std::move(request), lost_outcome);
     return;
   }
   const std::string label = sessions_[request.session].name + ".retry";
@@ -172,36 +187,30 @@ void WorkloadDriver::retry_or_lose(Request request,
                       });
 }
 
-void WorkloadDriver::resolve(Request request, bool served,
-                             const std::string& detail) {
-  const Session& session = sessions_[request.session];
-  const double done_t = sim_.now().to_seconds();
-
+void WorkloadDriver::resolve(Request request, core::RequestOutcome outcome) {
+  // The constructor's limits keep every narrowing below lossless:
+  // attempts <= max_attempts <= 255, at most one nack per attempt, and at
+  // most 65535 sessions, so at most as many routes.
   core::RequestRecord record;
   record.sent_t = request.first_sent.to_seconds();
-  record.done_t = done_t;
-  record.attempts = std::max(1, request.attempts);
-  record.served = served;
-  record.target = session.target;
-  record.restarting_nacks = request.restarting_nacks;
-  record.detail = served ? "" : detail;
+  record.done_t = sim_.now().to_seconds();
+  record.route = sessions_[request.session].route;
+  record.session = static_cast<std::uint16_t>(request.session);
+  record.attempts = static_cast<std::uint8_t>(std::max(1, request.attempts));
+  record.restarting_nacks =
+      static_cast<std::uint8_t>(request.restarting_nacks);
+  record.outcome = outcome;
   account_.record(record);
 
+  const bool served = record.served();
   obs::incr(served ? "traffic.served" : "traffic.lost");
   if (record.attempts > 1) obs::incr("traffic.retried");
   if (request.trace_span != 0) {
     obs::end_span(sim_.now(), request.trace_span,
                   {{"outcome", served ? "served" : "lost"},
-                   {"attempts", record.attempts},
-                   {"detail", record.detail}});
+                   {"attempts", int{record.attempts}},
+                   {"detail", core::to_string(outcome)}});
   }
-
-  std::string line = util::format_fixed(done_t, 6) + " " + session.name + " " +
-                     session.target + (served ? " served" : " lost") +
-                     " attempts=" + std::to_string(record.attempts) +
-                     " nacks=" + std::to_string(record.restarting_nacks);
-  if (!record.detail.empty()) line += " detail=" + record.detail;
-  outcome_log_.push_back(std::move(line));
 }
 
 WorkloadStats WorkloadDriver::stats() const {
@@ -210,21 +219,34 @@ WorkloadStats WorkloadDriver::stats() const {
   stats.restarting_nacks = restarting_nacks_;
   stats.timeouts = timeouts_;
   for (const core::RequestRecord& record : account_.records()) {
-    if (record.served) {
+    if (record.served()) {
       ++stats.served;
     } else {
       ++stats.lost;
     }
     if (record.attempts > 1) ++stats.retried;
-    if (record.detail == "rejected-parked") ++stats.parked_rejections;
+    if (record.outcome == core::RequestOutcome::kRejectedParked) {
+      ++stats.parked_rejections;
+    }
   }
   return stats;
 }
 
 std::string WorkloadDriver::outcome_text() const {
   std::string text;
-  for (const std::string& line : outcome_log_) {
-    text += line;
+  for (const core::RequestRecord& record : account_.records()) {
+    text += util::format_fixed(record.done_t, 6);
+    text += ' ';
+    text += sessions_[record.session].name;
+    text += ' ';
+    text += sessions_[record.session].target;
+    text += record.served() ? " served" : " lost";
+    text += " attempts=" + std::to_string(record.attempts);
+    text += " nacks=" + std::to_string(record.restarting_nacks);
+    if (!record.served()) {
+      text += " detail=";
+      text += core::to_string(record.outcome);
+    }
     text += '\n';
   }
   return text;

@@ -22,10 +22,12 @@
 //   * max_attempts exhausted resolves the request as lost.
 //
 // Every issued request resolves exactly once — benches and tests assert
-// issued == served + lost. Resolutions append to a core::TrafficAccount
-// (latency percentiles, goodput dip, per-route reopen latency) and to a
-// deterministic text outcome log used by the byte-identity tests: the same
-// seed must produce the same log at any MERCURY_JOBS.
+// issued == served + lost. Each resolution appends one 24-byte
+// core::RequestRecord to a core::TrafficAccount (latency percentiles, goodput
+// dip, per-route reopen latency); nothing else is kept per request. The text
+// outcome log the byte-identity tests compare is rendered from those records
+// on demand (outcome_text()): the same seed must produce the same log at any
+// MERCURY_JOBS.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,8 @@ struct WorkloadConfig {
   util::Duration request_timeout = util::Duration::millis(400.0);
   /// Delay before a retry (after a timeout or a "restarting" nack).
   util::Duration retry_backoff = util::Duration::millis(100.0);
-  /// Send attempts per request before it resolves as lost.
+  /// Send attempts per request before it resolves as lost (at most 255:
+  /// the per-request record counts attempts in a byte).
   int max_attempts = 4;
   std::uint64_t seed = 1;
   /// Emit one "traffic.request" span per request (category "traffic").
@@ -80,7 +83,9 @@ struct WorkloadStats {
 class WorkloadDriver {
  public:
   /// Sessions are split round-robin over the target lists: command session i
-  /// polls command_targets[i % size], telemetry likewise.
+  /// polls command_targets[i % size], telemetry likewise. Throws
+  /// std::invalid_argument for more than 65535 sessions or max_attempts
+  /// above 255, which the per-request record could not count.
   WorkloadDriver(sim::Simulator& sim, bus::MessageBus& bus,
                  std::vector<std::string> command_targets,
                  std::vector<std::string> telemetry_targets,
@@ -112,15 +117,16 @@ class WorkloadDriver {
 
   const core::TrafficAccount& account() const { return account_; }
   WorkloadStats stats() const;
-  /// One line per resolved request, in resolution order. Deterministic in
-  /// the seed: the byte-identity contract for MERCURY_JOBS sweeps.
-  const std::vector<std::string>& outcome_log() const { return outcome_log_; }
+  /// One line per resolved request, in resolution order, rendered from the
+  /// account's records. Deterministic in the seed: the byte-identity
+  /// contract for MERCURY_JOBS sweeps.
   std::string outcome_text() const;
 
  private:
   struct Session {
     std::string name;    // bus endpoint, "cli.<i>"
     std::string target;  // fixed route this session polls
+    std::uint16_t route = 0;  // id shared by every session with this target
     util::Rng rng;
     sim::EventId next_arrival;
   };
@@ -145,8 +151,8 @@ class WorkloadDriver {
   void on_receive(std::size_t session_index, const msg::Message& message);
   void on_timeout(std::uint64_t seq);
   /// Retry after backoff, or resolve as lost when the budget is gone.
-  void retry_or_lose(Request request, const std::string& lost_detail);
-  void resolve(Request request, bool served, const std::string& detail);
+  void retry_or_lose(Request request, core::RequestOutcome lost_outcome);
+  void resolve(Request request, core::RequestOutcome outcome);
 
   sim::Simulator& sim_;
   bus::MessageBus& bus_;
@@ -158,7 +164,6 @@ class WorkloadDriver {
   std::vector<Session> sessions_;
   std::map<std::uint64_t, Request> in_flight_;  // by current-attempt seq
   core::TrafficAccount account_;
-  std::vector<std::string> outcome_log_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t issued_ = 0;
   std::uint64_t timeouts_ = 0;

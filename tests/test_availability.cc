@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 
 #include "core/availability.h"
@@ -170,14 +171,20 @@ TEST(AnalyticModel, UncoveredCureSetFallsBackToRoot) {
 // to the end of the evaluation window, and degenerate (zero-traffic /
 // disabled-injection) trials.
 
-/// Served request resolving at `done_t` against route "ses".
-RequestRecord served_at(double done_t) {
+/// Request on `route` sent at `sent_t`, resolving at `done_t`.
+RequestRecord request_on(std::uint16_t route, double sent_t, double done_t,
+                         RequestOutcome outcome) {
   RequestRecord record;
-  record.sent_t = done_t - 0.01;
+  record.sent_t = sent_t;
   record.done_t = done_t;
-  record.served = true;
-  record.target = "ses";
+  record.route = route;
+  record.outcome = outcome;
   return record;
+}
+
+/// Served request resolving at `done_t` against route 0.
+RequestRecord served_at(double done_t) {
+  return request_on(0, done_t - 0.01, done_t, RequestOutcome::kServed);
 }
 
 /// Steady pre-injection traffic: 8 served in [0, 2) -> baseline 4 rps with
@@ -256,6 +263,56 @@ TEST(TrafficBinEdges, NonPositiveInjectionDisablesDipAccounting) {
   EXPECT_DOUBLE_EQ(summary.baseline_rps, 0.0);
   EXPECT_DOUBLE_EQ(summary.dip_depth, 0.0);
   EXPECT_DOUBLE_EQ(summary.dip_width_s, 0.0);
+}
+
+// --- Per-request records -------------------------------------------------
+
+TEST(RequestRecords, OutcomeTextIsTheLossReason) {
+  EXPECT_EQ(to_string(RequestOutcome::kServed), "");
+  EXPECT_EQ(to_string(RequestOutcome::kTimeout), "timeout");
+  EXPECT_EQ(to_string(RequestOutcome::kRejectedRestarting),
+            "rejected-restarting");
+  EXPECT_EQ(to_string(RequestOutcome::kRejectedParked), "rejected-parked");
+}
+
+TEST(RequestRecords, WorstRouteReopenIsPerRouteId) {
+  // Two impacted routes, their records interleaved. Route 0 reopens 1.0 s
+  // after the injection, route 1 only 2.5 s after it. Route 2 loses a
+  // request before the injection and serves late, but was never impacted
+  // after it, so it must not count. Grouping the routes together would read
+  // 1.0 s (the first post-injection serve on any route).
+  TrafficAccount account = baseline_account();
+  account.record(request_on(0, 2.1, 2.5, RequestOutcome::kTimeout));
+  account.record(request_on(2, 1.9, 2.3, RequestOutcome::kTimeout));
+  account.record(request_on(1, 2.2, 2.6, RequestOutcome::kRejectedRestarting));
+  account.record(request_on(0, 2.9, 3.0, RequestOutcome::kServed));
+  account.record(request_on(1, 3.1, 3.5, RequestOutcome::kTimeout));
+  account.record(request_on(0, 3.9, 4.0, RequestOutcome::kServed));
+  account.record(request_on(1, 4.4, 4.5, RequestOutcome::kServed));
+  account.record(request_on(2, 7.9, 8.0, RequestOutcome::kServed));
+  EXPECT_DOUBLE_EQ(account.summarize(2.0, 10.0).worst_route_reopen_s, 2.5);
+
+  // An impacted route that never serves again reopens at the window end.
+  account.record(request_on(3, 2.4, 2.8, RequestOutcome::kRejectedParked));
+  EXPECT_DOUBLE_EQ(account.summarize(2.0, 10.0).worst_route_reopen_s, 8.0);
+}
+
+TEST(RequestRecords, SummaryCountsEachOutcome) {
+  TrafficAccount account;
+  RequestRecord retried = served_at(1.0);
+  retried.attempts = 3;
+  retried.restarting_nacks = 2;
+  account.record(retried);
+  account.record(request_on(1, 1.0, 1.4, RequestOutcome::kTimeout));
+  account.record(request_on(1, 1.5, 1.5, RequestOutcome::kRejectedParked));
+  account.record(request_on(1, 1.6, 1.6, RequestOutcome::kRejectedParked));
+  const TrafficSummary summary = account.summarize(0.0, 2.0);
+  EXPECT_EQ(summary.issued, 4u);
+  EXPECT_EQ(summary.served, 1u);
+  EXPECT_EQ(summary.lost, 3u);
+  EXPECT_EQ(summary.retried, 1u);
+  EXPECT_EQ(summary.restarting_rejections, 2u);
+  EXPECT_EQ(summary.parked_rejections, 2u);
 }
 
 }  // namespace

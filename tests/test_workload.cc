@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bus/message_bus.h"
 #include "core/mercury_trees.h"
 #include "obs/trace_check.h"
+#include "sim/simulator.h"
 #include "station/experiment.h"
+#include "workload/workload.h"
 
 namespace mercury::station {
 namespace {
@@ -79,6 +85,57 @@ TEST(Workload, EveryIssuedRequestResolvesExactlyOnce) {
   // One log line per resolved request.
   EXPECT_EQ(count_lines(result.traffic_outcome_log),
             static_cast<int>(traffic.issued));
+}
+
+/// Whole file as a string; empty on error.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return in ? out.str() : std::string{};
+}
+
+/// The golden trials' outcome logs, each under a "# <trial>" header line.
+std::string golden_outcome_text() {
+  // Single fault at full load: served, retried and rejected-restarting lines.
+  const TrialResult single = run_trial(traffic_spec("ses", 11));
+  // Three overlapping faults under the pbcom restart: adds the fail-silent
+  // detail=timeout lines. Cut to 2+1 sessions at a third of the default
+  // rate to keep the fixture under 40 KB.
+  TrialSpec multi = traffic_spec("pbcom", 67);
+  multi.extra_faults.push_back({"ses", Duration::millis(30.0)});
+  multi.extra_faults.push_back({"rtu", Duration::millis(60.0)});
+  multi.traffic.command_sessions = 2;
+  multi.traffic.telemetry_sessions = 1;
+  multi.traffic.mean_interarrival = Duration::millis(600.0);
+  const TrialResult three = run_trial(multi);
+  return "# tree IV, ses, seed 11\n" + single.traffic_outcome_log +
+         "# tree IV, pbcom + ses@30ms + rtu@60ms, seed 67, "
+         "2+1 sessions at 600 ms\n" +
+         three.traffic_outcome_log;
+}
+
+TEST(Workload, OutcomeLogByteIdenticalToCommittedFixture) {
+  // The other outcome-log tests compare a build only with itself; this one
+  // pins the rendering (field order, fixed-point time, detail text) against
+  // a log captured before the records lost their strings. Regenerate only
+  // when the log format legitimately changes (MERCURY_REGEN_GOLDEN=1), and
+  // record why with the change.
+  const std::string path =
+      std::string(MERCURY_TEST_DATA_DIR) + "/golden_traffic.outcome.txt";
+  const std::string text = golden_outcome_text();
+  if (std::getenv("MERCURY_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << text;
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty())
+      << path
+      << " is missing or empty; regenerate it with MERCURY_REGEN_GOLDEN=1 "
+         "build/tests/test_workload "
+         "--gtest_filter=Workload.OutcomeLogByteIdenticalToCommittedFixture";
+  EXPECT_EQ(text, golden);
+  EXPECT_NE(golden.find(" detail=timeout\n"), std::string::npos);
+  EXPECT_NE(golden.find(" detail=rejected-restarting\n"), std::string::npos);
 }
 
 TEST(Workload, SameSeedReproducesTheOutcomeLogByteForByte) {
@@ -173,6 +230,55 @@ TEST(Workload, TrafficDrivenOnDemandReopensServiceEarlier) {
             ondemand_result.traffic.served + ondemand_result.traffic.lost);
   EXPECT_LT(ondemand_result.traffic.lost, serial_result.traffic.lost);
   EXPECT_LT(ondemand_result.traffic.dip_end_s, serial_result.traffic.dip_end_s);
+}
+
+TEST(Workload, ParkedRejectionsCountInStatsAndSummary) {
+  // Every route parked: each request resolves at once, locally, as
+  // rejected-parked, and both tallies see every one of them.
+  sim::Simulator sim(7);
+  bus::MessageBus bus(sim, bus::BusConfig{});
+  workload::WorkloadConfig config;
+  config.command_sessions = 2;
+  config.telemetry_sessions = 1;
+  workload::WorkloadDriver driver(sim, bus, {"ses"}, {"rtu"}, config);
+  driver.set_parked_query([](const std::string&) { return true; });
+  driver.start();
+  sim.run_for(Duration::seconds(2.0));
+  driver.quiesce();
+
+  const workload::WorkloadStats stats = driver.stats();
+  EXPECT_GT(stats.issued, 0u);
+  EXPECT_EQ(stats.lost, stats.issued);
+  EXPECT_EQ(stats.parked_rejections, stats.issued);
+  const core::TrafficSummary summary =
+      driver.account().summarize(1.0, driver.quiesce_time());
+  EXPECT_EQ(summary.parked_rejections, stats.issued);
+  EXPECT_EQ(count_lines(driver.outcome_text()),
+            static_cast<int>(stats.issued));
+  EXPECT_NE(driver.outcome_text().find(" lost attempts=1 nacks=0 "
+                                       "detail=rejected-parked\n"),
+            std::string::npos);
+}
+
+TEST(Workload, DriverRejectsLimitsThePerRequestRecordCannotCount) {
+  // Attempts are counted in a byte and sessions named by a 16-bit index;
+  // the check must hold in Release builds too, not only under assert.
+  sim::Simulator sim(7);
+  bus::MessageBus bus(sim, bus::BusConfig{});
+  workload::WorkloadConfig config;
+  config.max_attempts = 255;
+  EXPECT_NO_THROW(workload::WorkloadDriver(sim, bus, {"ses"}, {"rtu"}, config));
+  config.max_attempts = 256;
+  EXPECT_THROW(workload::WorkloadDriver(sim, bus, {"ses"}, {"rtu"}, config),
+               std::invalid_argument);
+
+  config.max_attempts = 4;
+  config.command_sessions = 65535;
+  config.telemetry_sessions = 0;
+  EXPECT_NO_THROW(workload::WorkloadDriver(sim, bus, {"ses"}, {"rtu"}, config));
+  config.telemetry_sessions = 1;
+  EXPECT_THROW(workload::WorkloadDriver(sim, bus, {"ses"}, {"rtu"}, config),
+               std::invalid_argument);
 }
 
 }  // namespace
