@@ -106,8 +106,8 @@ double bench_event_queue_churn(std::size_t rounds, int reps) {
 
 // --- Message bus ----------------------------------------------------------
 
-/// Routing throughput end to end: encode, size-check, decode, route (cache
-/// hit on repeat sends), deliver. Zero latency/jitter so virtual time never
+/// Routing throughput end to end: encode for the size check, share one
+/// copy of the message, route (cache hit on repeat sends), deliver. Zero latency/jitter so virtual time never
 /// advances and the measurement is pure bus work.
 double bench_mbus_routing(std::size_t messages, int reps) {
   return best_ops_per_s(reps, [messages] {

@@ -61,22 +61,13 @@ void MessageBus::send(const msg::Message& message) {
     ++stats_.dropped_bus_down;
     return;
   }
-  const std::string wire = msg::encode(message);
-  if (wire.size() > config_.max_wire_bytes) {
+  if (msg::encode(message).size() > config_.max_wire_bytes) {
     ++stats_.dropped_oversize;
     return;
   }
-
-  // Re-parse the frame once, up front: decode() is pure, so sharing one
-  // decoded message across every delivery is indistinguishable from the old
-  // per-delivery parse — and a broadcast no longer decodes the same bytes
-  // once per target. Only data representable in the command language still
-  // crosses the bus (the receiver sees the round-tripped message, not the
-  // original).
-  auto parsed = msg::decode(wire);
-  if (!parsed.ok()) {
-    // Should be unreachable: we encoded it ourselves. Count as a drop per
-    // target rather than crash the bus on a malformed frame.
+  // A frame with no return or destination address has no valid header
+  // (decode() rejects it): drop it, once per target for a broadcast.
+  if (message.from.empty() || message.to.empty()) {
     if (message.to == "*") {
       for (const auto& [name, receiver] : endpoints_) {
         if (name != message.from) ++stats_.dropped_no_endpoint;
@@ -86,22 +77,22 @@ void MessageBus::send(const msg::Message& message) {
     }
     return;
   }
-  const auto decoded =
-      std::make_shared<const msg::Message>(std::move(parsed).value());
 
+  // Every delivery shares one immutable copy of the message as sent.
+  const auto shared = std::make_shared<const msg::Message>(message);
   if (message.to == "*") {
     // Scheduling deliveries never mutates the endpoint table, so broadcasts
     // iterate it directly (same order the old targets vector was built in).
     for (const auto& [name, receiver] : endpoints_) {
-      if (name != message.from) dispatch(name, decoded);
+      if (name != message.from) dispatch(name, shared);
     }
   } else {
-    dispatch(message.to, decoded);
+    dispatch(message.to, shared);
   }
 }
 
 void MessageBus::dispatch(const std::string& target,
-                          const std::shared_ptr<const msg::Message>& decoded) {
+                          const std::shared_ptr<const msg::Message>& message) {
   if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
     ++stats_.dropped_lossy;
     return;
@@ -110,19 +101,19 @@ void MessageBus::dispatch(const std::string& target,
       config_.latency +
       Duration::seconds(rng_.uniform(0.0, config_.latency_jitter.to_seconds()));
   const std::uint64_t epoch = epoch_;
-  if (target == decoded->to) {
-    // Point-to-point: the decoded message already names the target — no
+  if (target == message->to) {
+    // Point-to-point: the message already names the target — no
     // per-delivery string copy in the closure.
     sim_.schedule_after(latency, "mbus.deliver:" + target,
-                        [this, epoch, decoded] { deliver(epoch, decoded->to, decoded); });
+                        [this, epoch, message] { deliver(epoch, message->to, message); });
   } else {
     sim_.schedule_after(latency, "mbus.deliver:" + target,
-                        [this, epoch, target, decoded] { deliver(epoch, target, decoded); });
+                        [this, epoch, target, message] { deliver(epoch, target, message); });
   }
 }
 
 void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
-                         const std::shared_ptr<const msg::Message>& decoded) {
+                         const std::shared_ptr<const msg::Message>& message) {
   if (!online_ || epoch != epoch_) {
     ++stats_.dropped_bus_down;
     return;
@@ -135,12 +126,12 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
     // epoch — a fast, actionable retry signal — instead of a silent drop.
     const auto mid_restart = restarting_.find(to);
     if (mid_restart != restarting_.end()) {
-      const msg::Message& request = *decoded;
+      const msg::Message& request = *message;
       if (touch_listener_) touch_listener_(to, request.from);
       // Never answer a nack with a nack (no error-on-error loops), and
-      // never answer our own error messages.
-      if (request.kind != msg::Kind::kNack && !request.from.empty() &&
-          request.from != "mbus") {
+      // never answer our own error messages. (send() already dropped any
+      // message without a return address.)
+      if (request.kind != msg::Kind::kNack && request.from != "mbus") {
         ++stats_.rejected_restarting;
         msg::Message error = msg::make_nack(request, "mbus", "restarting");
         error.body.set_attr("component", to);
@@ -156,7 +147,7 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
   // Copy the receiver: the callback may detach/re-attach endpoints, which
   // moves flat-map slots out from under the pointer.
   Receiver receiver = *receiver_slot;
-  receiver(*decoded);
+  receiver(*message);
 }
 
 void MessageBus::crash() {

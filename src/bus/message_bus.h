@@ -74,9 +74,10 @@ class MessageBus {
   std::vector<std::string> endpoint_names() const;
 
   /// Route a message. `to == "*"` broadcasts to every endpoint except the
-  /// sender. Messages are serialized to the wire format and re-parsed at
-  /// delivery, so only data representable in the command language crosses
-  /// the bus (and size limits apply to real encoded bytes).
+  /// sender. Every receiver gets one shared immutable copy of the message as
+  /// sent; the size limit applies to its encoded wire bytes. A message with
+  /// an empty `from` or `to` has no valid wire header and is dropped
+  /// (counted in dropped_no_endpoint, once per target for a broadcast).
   void send(const msg::Message& message);
 
   /// Crash the bus: drops all in-flight messages and everything sent while
@@ -108,16 +109,13 @@ class MessageBus {
   const BusStats& stats() const { return stats_; }
 
  private:
-  /// Schedule one delivery of `decoded` to `target` (loss + latency applied).
+  /// Schedule one delivery of `message` to `target` (loss + latency applied).
   void dispatch(const std::string& target,
-                const std::shared_ptr<const msg::Message>& decoded);
-  /// `decoded` is the wire frame re-parsed through the command-language
-  /// codec. decode() is pure, so it runs once at send time and the result is
-  /// shared by every delivery of that frame (a broadcast used to re-parse
-  /// the same bytes once per target); each receiver still sees exactly what
-  /// a per-delivery parse would have produced.
+                const std::shared_ptr<const msg::Message>& message);
+  /// Hand `message` to `to`'s receiver, or answer a mid-restart endpoint
+  /// with a "restarting" nack; void if the bus crashed since `epoch`.
   void deliver(std::uint64_t epoch, const std::string& to,
-               const std::shared_ptr<const msg::Message>& decoded);
+               const std::shared_ptr<const msg::Message>& message);
   /// Routing lookup through the route cache; nullptr when unattached. The
   /// returned pointer is valid only until the next endpoint mutation.
   Receiver* find_receiver(const std::string& to);

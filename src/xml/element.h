@@ -29,11 +29,9 @@ class Element {
   Element& operator=(Element&&) noexcept = default;
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   // --- Attributes (sorted by key for deterministic serialization; stored
-  // as a flat map — every bus message round-trips through the codec, so
-  // attribute lookups are squarely on the hot path) ---
+  // as a flat contiguous map: small, cache-friendly, ordered) ---
   using AttributeMap = util::FlatMap<std::string, std::string>;
   const AttributeMap& attributes() const { return attributes_; }
   std::optional<std::string> attr(std::string_view key) const;

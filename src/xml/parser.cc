@@ -11,9 +11,9 @@ namespace {
 using util::Error;
 using util::Result;
 
-// Character-class lookup tables (the codec is on the per-message hot path;
-// <cctype> calls go through the locale). Classes match the C locale exactly:
-// isalpha == [A-Za-z], isspace == [ \t\n\v\f\r].
+// Character-class lookup tables (<cctype> calls go through the locale).
+// Classes match the C locale exactly: isalpha == [A-Za-z],
+// isspace == [ \t\n\v\f\r].
 struct CharTables {
   bool name_start[256] = {};
   bool name_char[256] = {};
@@ -305,128 +305,9 @@ class Parser {
   int col_ = 1;
 };
 
-// Fast path for the common shape: the compact documents our own writer
-// emits (every bus frame is one — encode() output is re-parsed at send
-// time). Handles elements, attributes, and plain character data only; the
-// moment it sees anything else — a prolog, a comment, CDATA, an entity, a
-// duplicate attribute, or any malformed input — it bails and the caller
-// falls back to the full parser, which either handles the construct or
-// produces the proper line:column diagnostic. On success the resulting
-// tree is identical to the full parser's (same grammar subset, same text
-// trimming), which the differential fuzz test in tests/test_xml.cc pins.
-class FastParser {
- public:
-  explicit FastParser(std::string_view input) : input_(input) {}
-
-  /// True on success with `out` holding the root; false means "fall back".
-  bool parse_document(Element& out) {
-    skip_space();
-    if (!parse_element(out)) return false;
-    skip_space();
-    return pos_ == input_.size();
-  }
-
- private:
-  bool at_end() const { return pos_ >= input_.size(); }
-  char peek() const { return input_[pos_]; }
-
-  void skip_space() {
-    while (!at_end() && is_space(peek())) ++pos_;
-  }
-
-  bool parse_name(std::string& out) {
-    if (at_end() || !is_name_start(peek())) return false;
-    std::size_t end = pos_;
-    while (end < input_.size() && is_name_char(input_[end])) ++end;
-    out.assign(input_.substr(pos_, end - pos_));
-    pos_ = end;
-    return true;
-  }
-
-  bool parse_element(Element& out) {
-    if (at_end() || peek() != '<') return false;
-    ++pos_;
-    std::string name;
-    if (!parse_name(name)) return false;  // also rejects <!-- / <?xml / <![
-    out.set_name(std::move(name));
-
-    while (true) {
-      skip_space();
-      if (at_end()) return false;
-      if (peek() == '>' || peek() == '/') break;
-      std::string key;
-      if (!parse_name(key)) return false;
-      skip_space();
-      if (at_end() || peek() != '=') return false;
-      ++pos_;
-      skip_space();
-      if (at_end() || (peek() != '"' && peek() != '\'')) return false;
-      const char quote = peek();
-      ++pos_;
-      std::size_t end = pos_;
-      while (end < input_.size() && input_[end] != quote) {
-        // '&' needs entity decoding, '<' is an error: both are slow-path.
-        if (input_[end] == '&' || input_[end] == '<') return false;
-        ++end;
-      }
-      if (end == input_.size()) return false;
-      if (!out.add_attr(key, std::string{input_.substr(pos_, end - pos_)})) {
-        return false;  // duplicate attribute: slow path diagnoses it
-      }
-      pos_ = end + 1;
-    }
-
-    if (peek() == '/') {
-      ++pos_;
-      if (at_end() || peek() != '>') return false;
-      ++pos_;
-      return true;
-    }
-    ++pos_;  // '>'
-
-    // Content: children interleaved with character data (accumulated across
-    // child boundaries and trimmed at the end, exactly like the full parser).
-    std::string text;
-    while (true) {
-      if (at_end()) return false;
-      const char c = peek();
-      if (c == '<') {
-        if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '/') {
-          pos_ += 2;
-          std::string close;
-          if (!parse_name(close)) return false;
-          if (close != out.name()) return false;
-          skip_space();
-          if (at_end() || peek() != '>') return false;
-          ++pos_;
-          out.set_text(std::string{util::trim(text)});
-          return true;
-        }
-        Element child;
-        if (!parse_element(child)) return false;  // comments/CDATA fall back
-        out.add_child(std::move(child));
-      } else if (c == '&') {
-        return false;  // entity: slow path decodes it
-      } else {
-        std::size_t end = pos_;
-        while (end < input_.size() && input_[end] != '<' && input_[end] != '&') {
-          ++end;
-        }
-        text.append(input_.substr(pos_, end - pos_));
-        pos_ = end;
-      }
-    }
-  }
-
-  std::string_view input_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 util::Result<Element> parse(std::string_view input) {
-  Element fast;
-  if (FastParser(input).parse_document(fast)) return fast;
   return Parser(input).parse_document();
 }
 

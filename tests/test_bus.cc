@@ -151,13 +151,19 @@ TEST_F(BusTest, EndpointNamesSorted) {
 }
 
 TEST_F(BusTest, WireFormatRoundTripsThroughBus) {
-  // The bus serializes and re-parses: structured payloads survive.
+  // The receiver gets a message equal to the one sent: header, attributes,
+  // text and nested children all arrive intact.
   auto* inbox = record("str");
   msg::Message m = msg::make_event("ses", 9, "ephemeris");
   m.body.set_attr("el_deg", 45.5);
+  m.body.set_attr("visible", std::string{"1"});
+  xml::Element& pass = m.body.add_child(xml::Element("pass"));
+  pass.set_attr("aos_s", 1200.25);
+  pass.add_child(xml::Element("note")).set_text("high <&> elevation");
   bus_.send(m);
   sim_.run_for(Duration::seconds(1.0));
   ASSERT_EQ(inbox->size(), 1u);
+  EXPECT_EQ((*inbox)[0], m);
   EXPECT_DOUBLE_EQ(*(*inbox)[0].body.attr_double("el_deg"), 45.5);
 }
 
@@ -237,6 +243,22 @@ TEST(BusRestarting, NeverNacksANackOrAnonymousSender) {
   sim.run_for(Duration::seconds(1.0));
   EXPECT_EQ(bus.stats().rejected_restarting, 0u);
   EXPECT_EQ(bus.stats().dropped_no_endpoint, 2u);
+
+  // A message with no destination drops once, and a broadcast with no
+  // return address drops once per endpoint; nobody receives either.
+  int received = 0;
+  for (const char* name : {"cli.0", "str", "rtu"}) {
+    bus.attach(name, [&](const msg::Message&) { ++received; });
+  }
+  bus.send(msg::make_ping("cli.0", "", 11));
+  sim.run_for(Duration::seconds(1.0));
+  EXPECT_EQ(bus.stats().dropped_no_endpoint, 3u);
+  bus.send(msg::make_event("", 12, "ephemeris"));
+  sim.run_for(Duration::seconds(1.0));
+  EXPECT_EQ(bus.stats().dropped_no_endpoint, 6u);
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(bus.stats().rejected_restarting, 0u);
+  EXPECT_EQ(bus.stats().delivered, 0u);
 }
 
 TEST(BusRestarting, UnmarkedMissingEndpointStaysSilentDrop) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "core/health.h"
 #include "msg/message.h"
 #include "xml/element.h"
 #include "xml/writer.h"
@@ -21,13 +23,58 @@ TEST(Message, KindStringsRoundTrip) {
 }
 
 TEST(Message, EncodeDecodeRoundTrip) {
-  Message m = make_command("rtu", "fedr", 42, "tune");
-  m.body.set_attr("freq_hz", 437.1e6);
-  m.body.add_child(xml::Element("note")).set_text("doppler corrected");
+  // The bus delivers the message it was sent, so what crosses it must be
+  // exactly what the command language can carry: every message shape the
+  // station sends survives decode(encode(m)) unchanged.
+  Message noted = make_command("rtu", "fedr", 42, "tune");
+  noted.body.set_attr("freq_hz", 437.1e6);
+  noted.body.add_child(xml::Element("note")).set_text("doppler corrected");
 
-  auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-  EXPECT_EQ(decoded.value(), m);
+  const Message fd_ping = make_ping("fd", "ses", 12);
+  const Message workload_ping = make_ping("cli.3", "rtu", 7);
+
+  Message tune = make_command("rtu", "fedr", 43, "tune");
+  tune.body.set_attr("freq_hz", 437108234.56789);
+
+  Message restarting = make_nack(workload_ping, "mbus", "restarting");
+  restarting.body.set_attr("component", std::string{"rtu"});
+  restarting.body.set_attr("epoch", std::to_string(5));
+
+  Message ephemeris = make_event("ses", 9, "ephemeris");
+  ephemeris.body.set_attr("az_deg", 123.456789012);
+  ephemeris.body.set_attr("el_deg", -3.25);
+  ephemeris.body.set_attr("range_km", 2345.6789);
+  ephemeris.body.set_attr("range_rate_km_s", -6.54321);
+  ephemeris.body.set_attr("visible", std::string{"1"});
+
+  core::HealthBeacon beacon;
+  beacon.component = "fedr";
+  beacon.seq = 31;
+  beacon.uptime_s = 86400.5;
+  beacon.memory_mb = 212.75;
+  beacon.queue_depth = 3;
+  beacon.internal_latency_ms = 12.125;
+  beacon.consistency_ok = false;
+  beacon.warnings = {"queue growing", "serial retries <&> rising"};
+
+  const std::pair<const char*, Message> shapes[] = {
+      {"command with a nested child", noted},
+      {"fd ping", fd_ping},
+      {"fd pong", make_pong(fd_ping, "ses")},
+      {"workload ping", workload_ping},
+      {"workload pong", make_pong(workload_ping, "rtu")},
+      {"ack", make_ack(tune, "fedr")},
+      {"nack with reason", make_nack(tune, "fedr", "pbcom link down")},
+      {"mbus restarting nack", restarting},
+      {"ephemeris event", ephemeris},
+      {"tune command", tune},
+      {"health beacon", core::encode_beacon(beacon, "hm")},
+  };
+  for (const auto& [name, m] : shapes) {
+    auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.error().message();
+    EXPECT_EQ(decoded.value(), m) << name << ": " << encode(m);
+  }
 }
 
 TEST(Message, RoundTripAllKinds) {

@@ -234,31 +234,28 @@ TEST_P(XmlRoundTrip, ParseWriteIdentity) {
 }
 
 TEST_P(XmlRoundTrip, FastAndFallbackParsersAgree) {
-  // parse() tries a compact fast-path parser first and falls back to the
-  // full line/col-tracking parser on any non-trivial construct (ISSUE 10).
-  // Prepending a prolog and a comment forces the fallback for the *same*
-  // document, so comparing the two results differentially pins the paths
-  // against each other across random documents. Entity-rich values (&, <,
-  // ") already route some undecorated documents down the fallback too, so
-  // both directions of the bail-out get exercised.
+  // One parser, two input shapes: a prolog plus a comment before the root
+  // must yield the same tree as the bare document, across random documents
+  // (entity-rich values included).
   util::Rng rng(GetParam() + 1000);
   for (int i = 0; i < 20; ++i) {
     const Element original = random_element(rng, 0);
     const std::string wire = write(original);
-    auto fast = parse(wire);
-    auto full = parse("<?xml version=\"1.0\"?><!-- force fallback -->" + wire);
-    ASSERT_TRUE(fast.ok()) << "wire: " << wire;
-    ASSERT_TRUE(full.ok()) << "wire: " << wire;
-    EXPECT_TRUE(fast.value() == full.value()) << "wire: " << wire;
-    EXPECT_TRUE(fast.value() == original) << "wire: " << wire;
+    auto bare = parse(wire);
+    auto decorated =
+        parse("<?xml version=\"1.0\"?><!-- before the root -->" + wire);
+    ASSERT_TRUE(bare.ok()) << "wire: " << wire;
+    ASSERT_TRUE(decorated.ok()) << "wire: " << wire;
+    EXPECT_TRUE(bare.value() == decorated.value()) << "wire: " << wire;
+    EXPECT_TRUE(bare.value() == original) << "wire: " << wire;
   }
 }
 
 TEST_P(XmlRoundTrip, BothParserPathsRejectEveryTruncation) {
   // No proper prefix of a single-root document is well-formed: the root
-  // element is still open at the cut. Both the fast path and the fallback
-  // (forced via decoration) must reject every truncation — and never crash
-  // or read out of bounds (the fast path scans with raw spans).
+  // element is still open at the cut. The parser must reject every
+  // truncation of the bare document and of the prolog-decorated one — and
+  // never crash or read out of bounds.
   util::Rng rng(GetParam() + 2000);
   const Element original = random_element(rng, 0);
   const std::string wire = write(original);
