@@ -70,7 +70,8 @@ class Report {
           << (i + 1 < metrics_.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    if (!out.good()) {
+    out.close();  // a failed write shows only once the last block is flushed
+    if (!out) {
       std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
       return 1;
     }
@@ -95,10 +96,10 @@ class Report {
 /// parallel experiment runner merges worker-thread trials back into this
 /// recorder in trial order, so the files below are byte-identical for any
 /// MERCURY_JOBS). finish() — called by the destructor if the bench does not —
-/// validates the recovery-trace invariants (obs/trace_check.h), writes
-/// <name>.trace.jsonl (line-per-event schema) and <name>.trace.json (Chrome
-/// trace-event format, for chrome://tracing or ui.perfetto.dev) into
-/// $MERCURY_TRACE_DIR (default: the working directory) and prints the
+/// validates the recovery-trace invariants (obs/trace_check.h, default
+/// obs::CheckOptions), writes <name>.trace.jsonl (line-per-event schema;
+/// `mercury_ctl chrome` renders it for chrome://tracing or ui.perfetto.dev)
+/// into $MERCURY_TRACE_DIR (default: the working directory) and prints the
 /// per-phase recovery breakdown plus aggregate counters. Benches return
 /// `trace.finish() | failures` so an illegal recovery schedule fails the
 /// bench even when the aggregate numbers look fine.
@@ -115,33 +116,23 @@ class TraceSession {
 
   ~TraceSession() { finish(); }
 
-  /// Loosen or tighten the invariant checks (e.g. require_resolution=false
-  /// for benches that deliberately drive trials into timeouts).
-  void set_check_options(const obs::CheckOptions& options) {
-    check_options_ = options;
-  }
-  /// Skip invariant checking entirely (trace is still written).
-  void disable_check() { check_enabled_ = false; }
-
-  /// Check invariants, write the trace files and print the breakdown.
-  /// Returns 0 when the trace satisfies every invariant (or tracing /
-  /// checking is off), 1 otherwise. Idempotent: the first call does the
-  /// work, later calls (including the destructor's) return the same code.
+  /// Check invariants, write the trace file and print the breakdown.
+  /// Returns 0 when the trace satisfies every invariant (or tracing is
+  /// off), 1 otherwise. Idempotent: the first call does the work, later
+  /// calls (including the destructor's) return the same code.
   int finish() {
     if (finished_) return exit_code_;
     finished_ = true;
     if (recorder_ == nullptr) return 0;
     obs::set_recorder(nullptr);
 
-    if (check_enabled_) {
-      const std::vector<obs::TraceIssue> issues =
-          obs::check_trace(recorder_->events(), check_options_);
-      if (!issues.empty()) {
-        exit_code_ = 1;
-        std::fprintf(stderr,
-                     "\n--- TRACE INVARIANT VIOLATIONS (%zu) ------------------\n%s",
-                     issues.size(), obs::describe(issues).c_str());
-      }
+    const std::vector<obs::TraceIssue> issues =
+        obs::check_trace(recorder_->events());
+    if (!issues.empty()) {
+      exit_code_ = 1;
+      std::fprintf(stderr,
+                   "\n--- TRACE INVARIANT VIOLATIONS (%zu) ------------------\n%s",
+                   issues.size(), obs::describe(issues).c_str());
     }
 
     const char* dir = std::getenv("MERCURY_TRACE_DIR");
@@ -160,19 +151,10 @@ class TraceSession {
       }
       prefix = std::string(dir) + "/" + name_;
     }
-    const std::string jsonl_path = prefix + ".trace.jsonl";
-    const std::string chrome_path = prefix + ".trace.json";
-    bool wrote = true;
-    {
-      std::ofstream out(jsonl_path);
-      recorder_->write_jsonl(out);
-      wrote = wrote && out.good();
-    }
-    {
-      std::ofstream out(chrome_path);
-      recorder_->write_chrome_trace(out);
-      wrote = wrote && out.good();
-    }
+    const std::string path = prefix + ".trace.jsonl";
+    std::ofstream out(path);
+    recorder_->write_jsonl(out);
+    out.close();  // a failed write shows only once the last block is flushed
 
     std::printf("\n--- Recovery phase breakdown (from trace) -----------------\n");
     std::printf("%s", obs::phase_table(
@@ -182,13 +164,12 @@ class TraceSession {
       std::printf("note: %llu events dropped at the recorder cap\n",
                   static_cast<unsigned long long>(recorder_->dropped()));
     }
-    if (check_enabled_ && exit_code_ == 0) {
+    if (exit_code_ == 0) {
       std::printf("trace invariants: OK (%zu events checked)\n",
                   recorder_->events().size());
     }
-    if (wrote) {
-      std::printf("trace: %s (JSONL), %s (chrome://tracing / Perfetto)\n",
-                  jsonl_path.c_str(), chrome_path.c_str());
+    if (out) {
+      std::printf("trace: %s\n", path.c_str());
     } else {
       std::fprintf(stderr,
                    "warning: could not write trace files under '%s' "
@@ -207,8 +188,6 @@ class TraceSession {
  private:
   std::string name_;
   std::unique_ptr<obs::TraceRecorder> recorder_;
-  obs::CheckOptions check_options_;
-  bool check_enabled_ = true;
   bool finished_ = false;
   int exit_code_ = 0;
 };

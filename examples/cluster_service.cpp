@@ -14,8 +14,9 @@
 // escalation on a session-corruption failure that needs app+session cured
 // together, and the §4 transformations applied live to fix the tree. The
 // run is traced like every bench: the example prints the per-tier phase
-// breakdown, writes cluster_service.trace.json for ui.perfetto.dev, and
-// exits nonzero if the trace breaks a recovery invariant.
+// breakdown, writes cluster_service.trace.jsonl (`mercury_ctl chrome`
+// renders it for ui.perfetto.dev), and exits nonzero if the trace breaks a
+// recovery invariant.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -150,13 +151,13 @@ int main() {
   const obs::EventBuffer& events = recorder.events();
   std::printf("\nRecovery phases (from the trace):\n%s",
               obs::phase_table(obs::recovery_phases(events)).c_str());
-  std::ofstream trace_file("cluster_service.trace.json");
-  recorder.write_chrome_trace(trace_file);
-  if (!trace_file.good()) {
-    std::fprintf(stderr, "error: could not write cluster_service.trace.json\n");
+  std::ofstream trace_file("cluster_service.trace.jsonl");
+  recorder.write_jsonl(trace_file);
+  if (!trace_file.flush()) {  // a failed write shows only once flushed
+    std::fprintf(stderr, "error: could not write cluster_service.trace.jsonl\n");
     return 1;
   }
-  std::printf("trace: cluster_service.trace.json (ui.perfetto.dev)\n");
+  std::printf("trace: cluster_service.trace.jsonl\n");
   std::printf("\nThe point: none of this code touched the Mercury station —\n"
               "the tree algebra, oracle, and recoverer are substrate-free.\n"
               "Your system only supplies a ProcessControl and a failure\n"

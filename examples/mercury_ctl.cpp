@@ -7,12 +7,15 @@
 //   mercury_ctl tree --load v.xml         # validate + show an XML tree
 //   mercury_ctl optimize [--p-low 0.3]    # search for the best tree
 //   mercury_ctl passes [--hours 24]       # predict today's passes
+//   mercury_ctl chrome x.trace.jsonl > x.trace.json  # for ui.perfetto.dev
 //
 // Demonstrates how the pieces compose for tooling: the experiment harness,
-// the tree algebra and persistence, the optimizer, and the orbit stack.
+// the tree algebra and persistence, the optimizer, the orbit stack, and the
+// trace exporters.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +25,7 @@
 #include "core/mercury_trees.h"
 #include "core/optimizer.h"
 #include "core/tree_io.h"
+#include "obs/trace.h"
 #include "orbit/pass_predictor.h"
 #include "station/experiment.h"
 
@@ -67,13 +71,15 @@ class Args {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mercury_ctl <trial|trees|tree|optimize|passes> [flags]\n"
+               "usage: mercury_ctl <trial|trees|tree|optimize|passes|chrome> "
+               "[flags]\n"
                "  trial    --tree I..V --component NAME [--oracle perfect|faulty|"
                "heuristic] [--trials N] [--joint] [--soft] [--seed N]\n"
                "  trees\n"
                "  tree     --save I..V | --load FILE\n"
                "  optimize [--p-low P] [--joint-fraction F]\n"
-               "  passes   [--hours H] [--altitude KM] [--inclination DEG]\n");
+               "  passes   [--hours H] [--altitude KM] [--inclination DEG]\n"
+               "  chrome   FILE.trace.jsonl   (Chrome trace JSON to stdout)\n");
   return 2;
 }
 
@@ -199,6 +205,37 @@ int cmd_passes(const Args& args) {
   return 0;
 }
 
+/// Render a saved JSONL trace as Chrome trace-event JSON on stdout. The
+/// reader skips malformed lines, so a file whose non-empty lines did not all
+/// parse is refused rather than rendered short.
+int cmd_chrome(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return 1;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::size_t lines = 0;
+  for (std::string line; std::getline(buffer, line);) {
+    if (!line.empty()) ++lines;
+  }
+  buffer.clear();
+  buffer.seekg(0);
+  const std::vector<obs::TraceEvent> events = obs::read_jsonl(buffer);
+  if (events.size() != lines) {
+    std::fprintf(stderr, "%s: %zu of %zu lines are not trace events\n",
+                 path.c_str(), lines - events.size(), lines);
+    return 1;
+  }
+  obs::write_chrome_trace(events, std::cout);
+  if (!std::cout.flush()) {
+    std::fprintf(stderr, "error: could not write the Chrome trace\n");
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,6 +248,7 @@ int main(int argc, char** argv) {
     if (command == "tree") return cmd_tree(args);
     if (command == "optimize") return cmd_optimize(args);
     if (command == "passes") return cmd_passes(args);
+    if (command == "chrome") return argc == 3 ? cmd_chrome(argv[2]) : usage();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

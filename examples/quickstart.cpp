@@ -9,9 +9,9 @@
 // the station reports functional ~6 seconds after the kill — versus ~25 s
 // for the monolithic tree I. The whole run is traced (docs/TRACING.md): the
 // example narrates the trace event by event, prints the detect/decide/
-// execute breakdown, writes quickstart.trace.json for ui.perfetto.dev or
-// chrome://tracing, and exits nonzero if the trace breaks a recovery
-// invariant.
+// execute breakdown, writes quickstart.trace.jsonl (`mercury_ctl chrome`
+// renders it for ui.perfetto.dev or chrome://tracing), and exits nonzero if
+// the trace breaks a recovery invariant.
 #include <cstdio>
 #include <fstream>
 
@@ -73,13 +73,13 @@ int main() {
   std::printf("\nThe recovery, as traced:\n%s", obs::narrate(events).c_str());
   std::printf("\nRecovery phases (from the trace):\n%s",
               obs::phase_table(obs::recovery_phases(events)).c_str());
-  std::ofstream trace_file("quickstart.trace.json");
-  recorder.write_chrome_trace(trace_file);
-  if (!trace_file.good()) {
-    std::fprintf(stderr, "error: could not write quickstart.trace.json\n");
+  std::ofstream trace_file("quickstart.trace.jsonl");
+  recorder.write_jsonl(trace_file);
+  if (!trace_file.flush()) {  // a failed write shows only once flushed
+    std::fprintf(stderr, "error: could not write quickstart.trace.jsonl\n");
     return 1;
   }
-  std::printf("trace: quickstart.trace.json (ui.perfetto.dev)\n");
+  std::printf("trace: quickstart.trace.jsonl\n");
   const std::vector<obs::TraceIssue> issues = obs::check_trace(events);
   if (!issues.empty()) {
     std::fprintf(stderr, "trace invariant violations:\n%s",

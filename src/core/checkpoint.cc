@@ -367,8 +367,4 @@ bool TieredCheckpointStore::has(const std::string& component,
   return tier(t).find(component) != nullptr;
 }
 
-std::size_t TieredCheckpointStore::tier_size(CheckpointTier t) const {
-  return tier(t).size();
-}
-
 }  // namespace mercury::core

@@ -286,7 +286,6 @@ class TieredCheckpointStore {
   const Checkpoint* find(const std::string& component,
                          CheckpointTier tier) const;
   bool has(const std::string& component, CheckpointTier tier) const;
-  std::size_t tier_size(CheckpointTier tier) const;
 
   std::uint64_t saves() const { return saves_; }
   std::uint64_t tier_hits(CheckpointTier tier) const {

@@ -771,7 +771,10 @@ void TraceRecorder::write_jsonl(std::ostream& out) const {
   write_jsonl_impl(events_, out);
 }
 
-void TraceRecorder::write_chrome_trace(std::ostream& stream) const {
+namespace {
+
+template <typename Range>
+void write_chrome_trace_impl(const Range& events, std::ostream& stream) {
   // Tracks map to Chrome thread ids within the run's process; name them via
   // metadata events so the viewer shows "fd", "rec", ... instead of numbers.
   std::map<std::pair<std::uint64_t, std::uint32_t>, int> tids;
@@ -784,7 +787,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& stream) const {
     first = false;
   };
   static const Label kValue("value");
-  for (const TraceEvent& event : events_) {
+  for (const TraceEvent& event : events) {
     const auto key = std::make_pair(event.run, event.track.id());
     auto it = tids.find(key);
     if (it == tids.end()) {
@@ -836,6 +839,20 @@ void TraceRecorder::write_chrome_trace(std::ostream& stream) const {
     sink.maybe_flush();
   }
   out += "]}\n";
+}
+
+}  // namespace
+
+void write_chrome_trace(const std::vector<TraceEvent>& events, std::ostream& out) {
+  write_chrome_trace_impl(events, out);
+}
+
+void write_chrome_trace(const EventBuffer& events, std::ostream& out) {
+  write_chrome_trace_impl(events, out);
+}
+
+void TraceRecorder::write_chrome_trace(std::ostream& out) const {
+  write_chrome_trace_impl(events_, out);
 }
 
 // --- JSONL import ---------------------------------------------------------

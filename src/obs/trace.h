@@ -6,7 +6,8 @@
 // recovery the time went*. Every stage of the pipeline — fault manifestation,
 // detector suspicion/report, oracle decision, recoverer action, per-component
 // restart — emits structured events into one TraceRecorder, from which
-// exporters produce JSONL and Chrome trace-event files and the phase analysis
+// the JSONL exporter writes the one trace file on disk (`mercury_ctl chrome`
+// renders its Chrome trace-event view) and the phase analysis
 // (obs/phases.h) rebuilds per-recovery breakdowns.
 //
 // Design constraints:
@@ -479,6 +480,11 @@ class TraceRecorder {
 /// no longer live in a recorder (run_trial_traced captures, checker tests).
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
 void write_jsonl(const EventBuffer& events, std::ostream& out);
+
+/// Chrome trace-event JSON for an event list; TraceRecorder's member and
+/// `mercury_ctl chrome` (over a read_jsonl'd file) delegate here.
+void write_chrome_trace(const std::vector<TraceEvent>& events, std::ostream& out);
+void write_chrome_trace(const EventBuffer& events, std::ostream& out);
 
 /// Parse events back from the JSONL export (the subset write_jsonl emits).
 /// Malformed lines are skipped. Args come back string-typed. Round-trip

@@ -630,14 +630,16 @@ TEST(TraceEventCopy, CopiesOwnTheirArgsAndOutliveTheRecorder) {
   }
 }
 
-/// The committed golden batch trace (tests/data), as text.
-std::string golden_jsonl() {
-  const std::string path = std::string(MERCURY_TEST_DATA_DIR) + "/golden_batch.trace.jsonl";
+/// A committed golden batch fixture (tests/data), as text.
+std::string golden_file(const std::string& suffix) {
+  const std::string path = std::string(MERCURY_TEST_DATA_DIR) + "/golden_batch" + suffix;
   std::ifstream file(path, std::ios::binary);
   std::ostringstream golden;
   golden << file.rdbuf();
   return golden.str();
 }
+
+std::string golden_jsonl() { return golden_file(".trace.jsonl"); }
 
 std::vector<TraceEvent> golden_events() {
   std::istringstream in(golden_jsonl());
@@ -653,6 +655,16 @@ TEST(TraceExport, GoldenJsonlRereadAndRewrittenIsByteIdentical) {
   std::ostringstream rewritten;
   write_jsonl(events, rewritten);
   EXPECT_EQ(rewritten.str(), golden);
+}
+
+// The Chrome view is a pure function of the JSONL: rendering the re-read
+// golden trace reproduces the Chrome fixture the recorder wrote.
+TEST(TraceExport, ChromeTraceFromGoldenJsonlMatchesTheChromeFixture) {
+  const std::string golden_chrome = golden_file(".trace.json");
+  ASSERT_FALSE(golden_chrome.empty()) << "golden_batch.trace.json";
+  std::ostringstream chrome;
+  write_chrome_trace(golden_events(), chrome);
+  EXPECT_EQ(chrome.str(), golden_chrome);
 }
 
 // --- Narration ---------------------------------------------------------------
