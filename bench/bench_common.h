@@ -117,9 +117,9 @@ class TraceSession {
   ~TraceSession() { finish(); }
 
   /// Check invariants, write the trace file and print the breakdown.
-  /// Returns 0 when the trace satisfies every invariant (or tracing is
-  /// off), 1 otherwise. Idempotent: the first call does the work, later
-  /// calls (including the destructor's) return the same code.
+  /// Returns 0 when the trace satisfies every invariant and was written
+  /// (or tracing is off), 1 otherwise. Idempotent: the first call does the
+  /// work, later calls (including the destructor's) return the same code.
   int finish() {
     if (finished_) return exit_code_;
     finished_ = true;
@@ -171,8 +171,9 @@ class TraceSession {
     if (out) {
       std::printf("trace: %s\n", path.c_str());
     } else {
+      exit_code_ = 1;
       std::fprintf(stderr,
-                   "warning: could not write trace files under '%s' "
+                   "error: could not write trace files under '%s' "
                    "(does MERCURY_TRACE_DIR exist?)\n",
                    prefix.c_str());
     }

@@ -70,5 +70,5 @@ int main() {
       "\nNote (§4.3): tree III violates A_independent for ses/str — the cure\n"
       "itself induces the peer's failure; consolidation (IV) encodes that\n"
       "correlated-failure knowledge into the tree structure.\n");
-  return 0;
+  return trace_session.finish();
 }

@@ -11,7 +11,6 @@
 #include <istream>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <ostream>
 #include <sstream>
 
@@ -377,22 +376,6 @@ std::string TraceArg::value() const {
   return out;
 }
 
-void TraceArgs::assign(const TraceArg* data, std::size_t size) {
-  if (size == 0) return;
-  TraceArg* copy = new TraceArg[size];
-  std::copy(data, data + size, copy);
-  data_ = copy;
-  size_ = static_cast<std::uint32_t>(size);
-  owned_ = true;
-}
-
-void TraceArgs::release() {
-  if (owned_) delete[] data_;
-  data_ = nullptr;
-  size_ = 0;
-  owned_ = false;
-}
-
 // --- TraceEvent -------------------------------------------------------------
 
 const TraceArg* TraceEvent::find_arg(Label key) const {
@@ -415,89 +398,170 @@ std::string TraceEvent::arg_or(std::string_view key, std::string_view fallback) 
 }
 
 // --- EventBuffer ----------------------------------------------------------
+//
+// Record layout (docs/TRACING.md "In-memory representation"):
+//   header   kind (2 bits) | arg count (6 bits; 63 = count follows as a varint)
+//   varints  category, name, track label ids; span; run
+//   8 bytes  t, raw double bits
+//   per arg  key label id (varint), type (3 bits) | precision (5 bits; 31 =
+//            precision follows as a byte), value: label id or unsigned as a
+//            varint, signed as a zigzag varint, kFixed/kNumber as 8 raw bytes
 
-void EventBuffer::ArgArena::Free::operator()(TraceArg* block) const {
-  ::operator delete(block);
+namespace {
+
+constexpr std::uint8_t kCountEscape = 63;
+constexpr std::uint8_t kPrecisionEscape = 31;
+/// Largest encoding of a record's fixed part and of one arg.
+constexpr std::size_t kMaxHeaderBytes = 1 + 10 + 3 * 5 + 2 * 10 + 8;
+constexpr std::size_t kMaxArgBytes = 5 + 2 + 10;
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
-TraceArg* EventBuffer::ArgArena::allocate(std::size_t count) {
-  if (count == 0) return nullptr;
-  if (blocks_.empty() || used_ + count > capacity_) {
-    // Raw storage: args are constructed on use, so untouched block pages
-    // never become resident.
-    capacity_ = std::max(kBlockArgs, count);
-    blocks_.emplace_back(
-        static_cast<TraceArg*>(::operator new(capacity_ * sizeof(TraceArg))));
-    used_ = 0;
+std::uint64_t get_varint(const std::uint8_t*& p) {
+  std::uint64_t v = *p++;
+  if (v < 0x80) return v;
+  v &= 0x7F;
+  for (unsigned shift = 7;; shift += 7) {
+    const std::uint64_t byte = *p++;
+    v |= (byte & 0x7F) << shift;
+    if (byte < 0x80) return v;
   }
-  TraceArg* out = blocks_.back().get() + used_;
-  used_ += count;
-  return out;
 }
 
-TraceEvent& EventBuffer::append(std::size_t arg_count, TraceArg*& args) {
-  if (chunks_.empty() || chunks_.back().events.size() >= kChunkCapacity) {
-    Chunk chunk;
-    chunk.start = size_;
-    chunk.events.reserve(kChunkCapacity);
-    chunks_.push_back(std::move(chunk));
+std::uint8_t* put_raw(std::uint8_t* p, std::uint64_t bits) {
+  std::memcpy(p, &bits, sizeof bits);
+  return p + sizeof bits;
+}
+
+std::uint64_t get_raw(const std::uint8_t*& p) {
+  std::uint64_t bits;
+  std::memcpy(&bits, p, sizeof bits);
+  p += sizeof bits;
+  return bits;
+}
+
+std::uint64_t zigzag(std::uint64_t v) {
+  return (v << 1) ^ (static_cast<std::uint64_t>(static_cast<std::int64_t>(v) >> 63));
+}
+
+std::uint64_t unzigzag(std::uint64_t v) { return (v >> 1) ^ (~(v & 1) + 1); }
+
+}  // namespace
+
+template <typename ArgIt>
+void EventBuffer::append(double t, EventKind kind, Label category, Label name,
+                         Label track, std::uint64_t span, std::uint64_t run,
+                         ArgIt args, std::size_t arg_count) {
+  const std::size_t bound = kMaxHeaderBytes + arg_count * kMaxArgBytes;
+  // A rebased block decodes through its offsets, so new records never join it.
+  if (blocks_.empty() || blocks_.back().capacity - blocks_.back().used < bound ||
+      blocks_.back().span_offset != 0 || blocks_.back().run_offset != 0) {
+    const std::size_t grown =
+        blocks_.empty() ? kFirstBlockBytes
+                        : std::min(kMaxBlockBytes, 2 * std::size_t{blocks_.back().capacity});
+    Block block;
+    block.start = size_;
+    block.capacity = static_cast<std::uint32_t>(std::max(grown, bound));
+    // Uninitialised: pages of a block become resident only as it fills.
+    block.bytes.reset(new std::uint8_t[block.capacity]);
+    blocks_.push_back(std::move(block));
   }
-  Chunk& chunk = chunks_.back();
-  args = chunk.args.allocate(arg_count);
-  TraceEvent& event = chunk.events.emplace_back();
-  event.args = TraceArgs::view(args, static_cast<std::uint32_t>(arg_count));
+  Block& block = blocks_.back();
+  std::uint8_t* p = block.bytes.get() + block.used;
+  const std::uint8_t count =
+      static_cast<std::uint8_t>(std::min<std::size_t>(arg_count, kCountEscape));
+  *p++ = static_cast<std::uint8_t>(static_cast<std::uint8_t>(kind) | count << 2);
+  if (count == kCountEscape) p = put_varint(p, arg_count);
+  p = put_varint(p, category.id());
+  p = put_varint(p, name.id());
+  p = put_varint(p, track.id());
+  p = put_varint(p, span);
+  p = put_varint(p, run);
+  p = put_raw(p, std::bit_cast<std::uint64_t>(t));
+  for (std::size_t i = 0; i < arg_count; ++i, ++args) {
+    const TraceArg arg(*args);  // interns an emit-side arg's strings
+    p = put_varint(p, arg.key.id());
+    const std::uint8_t precision = std::min(arg.precision_, kPrecisionEscape);
+    *p++ = static_cast<std::uint8_t>(static_cast<std::uint8_t>(arg.type_) | precision << 3);
+    if (precision == kPrecisionEscape) *p++ = arg.precision_;
+    switch (arg.type_) {
+      case ArgType::kString:
+      case ArgType::kUnsigned: p = put_varint(p, arg.bits_); break;
+      case ArgType::kSigned: p = put_varint(p, zigzag(arg.bits_)); break;
+      case ArgType::kFixed:
+      case ArgType::kNumber: p = put_raw(p, arg.bits_); break;
+    }
+  }
+  block.used = static_cast<std::uint32_t>(p - block.bytes.get());
+  ++block.count;
   ++size_;
-  return event;
+}
+
+const std::uint8_t* EventBuffer::decode(const Block& block, const std::uint8_t* p,
+                                        TraceEvent& out) {
+  const std::uint8_t header = *p++;
+  out.kind = static_cast<EventKind>(header & 3);
+  std::size_t arg_count = header >> 2;
+  if (arg_count == kCountEscape) arg_count = static_cast<std::size_t>(get_varint(p));
+  out.category = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
+  out.name = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
+  out.track = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
+  const std::uint64_t span = get_varint(p);
+  out.span = span != 0 ? span + block.span_offset : 0;
+  out.run = get_varint(p) + block.run_offset;
+  out.t = std::bit_cast<double>(get_raw(p));
+  out.args.resize(arg_count);
+  for (TraceArg& arg : out.args) {
+    arg.key = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
+    const std::uint8_t type = *p++;
+    arg.type_ = static_cast<ArgType>(type & 7);
+    arg.precision_ = type >> 3;
+    if (arg.precision_ == kPrecisionEscape) arg.precision_ = *p++;
+    switch (arg.type_) {
+      case ArgType::kString:
+      case ArgType::kUnsigned: arg.bits_ = get_varint(p); break;
+      case ArgType::kSigned: arg.bits_ = unzigzag(get_varint(p)); break;
+      case ArgType::kFixed:
+      case ArgType::kNumber: arg.bits_ = get_raw(p); break;
+    }
+  }
+  return p;
 }
 
 void EventBuffer::push_back(const TraceEvent& event, std::uint64_t span_offset,
                             std::uint64_t run_offset) {
-  TraceArg* args = nullptr;
-  TraceEvent& stored = append(event.args.size(), args);
-  std::uninitialized_copy(event.args.begin(), event.args.end(), args);
-  stored.t = event.t;
-  stored.span = event.span != 0 ? event.span + span_offset : 0;
-  stored.run = event.run + run_offset;
-  stored.category = event.category;
-  stored.name = event.name;
-  stored.track = event.track;
-  stored.kind = event.kind;
+  append(event.t, event.kind, event.category, event.name, event.track,
+         event.span != 0 ? event.span + span_offset : 0, event.run + run_offset,
+         event.args.begin(), event.args.size());
 }
 
 void EventBuffer::emplace(double t, EventKind kind, Label category, Label name,
                           Label track, std::uint64_t span, std::uint64_t run,
                           Args args) {
-  TraceArg* stored_args = nullptr;
-  TraceEvent& event = append(args.size(), stored_args);
-  for (const Arg& arg : args) new (stored_args++) TraceArg(arg);
-  event.t = t;
-  event.span = span;
-  event.run = run;
-  event.category = category;
-  event.name = name;
-  event.track = track;
-  event.kind = kind;
+  append(t, kind, category, name, track, span, run, args.begin(), args.size());
 }
 
-const TraceEvent& EventBuffer::operator[](std::size_t index) const {
+TraceEvent EventBuffer::operator[](std::size_t index) const {
   assert(index < size_);
-  // Chunks are sorted by start index; splices leave irregular sizes, so
-  // binary-search rather than divide by the chunk capacity.
-  std::size_t lo = 0;
-  std::size_t hi = chunks_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (chunks_[mid].start <= index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return chunks_[lo].events[index - chunks_[lo].start];
+  // Blocks are sorted by start index and vary in size, so binary-search.
+  const auto block = std::prev(std::upper_bound(
+      blocks_.begin(), blocks_.end(), index,
+      [](std::size_t i, const Block& b) { return i < b.start; }));
+  TraceEvent event;
+  const std::uint8_t* p = block->bytes.get();
+  for (std::uint64_t i = block->start; i <= index; ++i) p = decode(*block, p, event);
+  return event;
 }
 
 void EventBuffer::clear() {
-  chunks_.clear();
+  blocks_.clear();
   size_ = 0;
 }
 
@@ -509,36 +573,36 @@ std::vector<TraceEvent> EventBuffer::to_vector() const {
 }
 
 void EventBuffer::rebase(std::uint64_t span_offset, std::uint64_t run_offset) {
-  for (Chunk& chunk : chunks_) {
-    for (TraceEvent& event : chunk.events) {
-      if (event.span != 0) event.span += span_offset;
-      event.run += run_offset;
-    }
+  for (Block& block : blocks_) {
+    block.span_offset += span_offset;
+    block.run_offset += run_offset;
   }
 }
 
 void EventBuffer::splice_from(EventBuffer&& other) {
-  chunks_.reserve(chunks_.size() + other.chunks_.size());
-  for (Chunk& chunk : other.chunks_) {
-    if (chunk.events.empty()) continue;  // iteration assumes non-empty chunks
-    chunk.start = size_;
-    size_ += chunk.events.size();
-    chunks_.push_back(std::move(chunk));
+  blocks_.reserve(blocks_.size() + other.blocks_.size());
+  for (Block& block : other.blocks_) {
+    block.start = size_;
+    size_ += block.count;
+    blocks_.push_back(std::move(block));
   }
   other.clear();
 }
 
-EventBuffer::const_iterator::reference EventBuffer::const_iterator::operator*()
-    const {
-  return buffer_->chunks_[chunk_].events[pos_];
+std::size_t EventBuffer::memory_bytes() const {
+  std::size_t bytes = blocks_.capacity() * sizeof(Block);
+  for (const Block& block : blocks_) bytes += block.capacity;
+  return bytes;
 }
 
-EventBuffer::const_iterator& EventBuffer::const_iterator::operator++() {
-  if (++pos_ >= buffer_->chunks_[chunk_].events.size()) {
-    ++chunk_;
-    pos_ = 0;
+void EventBuffer::const_iterator::enter_block() {
+  if (block_ == last_) {
+    pos_ = nullptr;
+    return;
   }
-  return *this;
+  pos_ = block_->bytes.get();
+  block_end_ = pos_ + block_->used;
+  next_ = decode(*block_, pos_, event_);
 }
 
 // --- TraceRecorder ----------------------------------------------------------
@@ -1000,7 +1064,7 @@ bool parse_event(std::string_view line, TraceEvent& event) {
       return false;  // unknown field: not our schema
     }
     if (c.eat('}')) {
-      event.args = args;
+      event.args = std::move(args);
       return true;
     }
     if (!c.eat(',')) return false;

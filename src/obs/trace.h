@@ -26,9 +26,9 @@
 //     chains, concurrent group members) nest correctly.
 //   * A recorded event is compact (docs/TRACING.md "In-memory
 //     representation"): its strings are Labels, handles into a process-wide
-//     intern pool, and its args are typed values in an arena beside the
-//     event chunk. Numbers are formatted only by the exporters, each in the
-//     exact format the schema specifies.
+//     intern pool, and the buffer stores it as a byte record of varint ids
+//     and typed arg values. Numbers are formatted only by the exporters,
+//     each in the exact format the schema specifies.
 #pragma once
 
 #include <concepts>
@@ -91,6 +91,7 @@ class Label {
 
  private:
   friend class TraceArg;
+  friend class EventBuffer;
   static Label from_id(std::uint32_t id) {
     Label label;
     label.id_ = id;
@@ -210,7 +211,11 @@ class TraceArg {
   /// Append the JSON-escaped value (without quotes) to `out`.
   void append_escaped(std::string& out) const;
 
+  /// Same key, type, precision and value bits.
+  bool operator==(const TraceArg&) const = default;
+
  private:
+  friend class EventBuffer;
   std::uint32_t label_id() const { return static_cast<std::uint32_t>(bits_); }
 
   ArgType type_ = ArgType::kString;
@@ -218,51 +223,9 @@ class TraceArg {
   std::uint64_t bits_ = 0;  ///< label id, integer, or double bits, by type
 };
 
-/// A recorded event's args. Events inside an EventBuffer view the chunk's
-/// arg arena; any copy of an event (to_vector, read_jsonl, a test's own
-/// list) owns a private copy of its args, so copies never dangle.
-class TraceArgs {
- public:
-  TraceArgs() = default;
-  TraceArgs(std::initializer_list<TraceArg> args) { assign(args.begin(), args.size()); }
-  TraceArgs(const std::vector<TraceArg>& args) { assign(args.data(), args.size()); }
-  TraceArgs(const TraceArgs& other) { assign(other.data_, other.size_); }
-  TraceArgs(TraceArgs&& other) noexcept
-      : data_(other.data_), size_(other.size_), owned_(other.owned_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.owned_ = false;
-  }
-  TraceArgs& operator=(TraceArgs other) noexcept {
-    std::swap(data_, other.data_);
-    std::swap(size_, other.size_);
-    std::swap(owned_, other.owned_);
-    return *this;
-  }
-  ~TraceArgs() { release(); }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const TraceArg& operator[](std::size_t i) const { return data_[i]; }
-  const TraceArg* begin() const { return data_; }
-  const TraceArg* end() const { return data_ + size_; }
-
- private:
-  friend class EventBuffer;
-  /// A non-owning view (the buffer's arena keeps the args alive).
-  static TraceArgs view(const TraceArg* data, std::uint32_t size) {
-    TraceArgs args;
-    args.data_ = data;
-    args.size_ = size;
-    return args;
-  }
-  void assign(const TraceArg* data, std::size_t size);
-  void release();
-
-  const TraceArg* data_ = nullptr;
-  std::uint32_t size_ = 0;
-  bool owned_ = false;
-};
+/// A recorded event's args. An event always owns its args: the buffer
+/// keeps them encoded (EventBuffer) and decodes them into this vector.
+using TraceArgs = std::vector<TraceArg>;
 
 struct TraceEvent {
   double t = 0.0;          ///< seconds since run start (virtual or wall clock)
@@ -282,26 +245,37 @@ struct TraceEvent {
   std::string arg_or(std::string_view key, std::string_view fallback = "") const;
 };
 
-/// The compact-event footprint: a recorded event is at most one cache line.
-static_assert(sizeof(TraceEvent) <= 64, "TraceEvent must stay compact");
-static_assert(sizeof(TraceArg) <= 16, "TraceArg must stay compact");
-
-/// Chunked append-only event storage. A flat std::vector<TraceEvent>
-/// re-moves every stored event each time it doubles; chunking appends into
-/// fixed-capacity blocks, so a recorded event is never moved again. Each
-/// chunk owns the arena its events' args live in. Merging one buffer into
-/// another (the parallel runner joining per-trial recorders) splices whole
-/// chunks, arenas included, instead of copying events. Iteration order is
-/// emission order, exactly like the vector it replaces.
+/// Append-only event storage as a log of variable-length byte records
+/// (format in docs/TRACING.md "In-memory representation"): label ids,
+/// span, run and integer args as LEB128 varints, doubles as their raw
+/// bytes, so a Table-1 fault event takes about 28 bytes and decodes to
+/// exactly the values it was recorded with. Records go into fixed-size
+/// blocks that are never moved or grown; a buffer's first block is small
+/// and each new one doubles, up to a cap. Merging one buffer into another (the parallel
+/// runner joining per-trial recorders) rebases the source by per-block
+/// offsets and splices whole blocks, so neither touches a record.
+/// Iteration order is emission order.
 class EventBuffer {
- public:
-  /// Events per chunk: big enough to amortize the allocation, small enough
-  /// that short traces stay cheap.
-  static constexpr std::size_t kChunkCapacity = 4096;
+ private:
+  /// A fixed-size run of records sharing one rebase.
+  struct Block {
+    std::uint64_t start = 0;        ///< global index of the block's first record
+    std::uint64_t span_offset = 0;  ///< added to every nonzero span on decode
+    std::uint64_t run_offset = 0;   ///< added to every run on decode
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::uint32_t capacity = 0;
+    std::uint32_t used = 0;   ///< bytes of records written
+    std::uint32_t count = 0;  ///< records written
+  };
 
-  /// Append a copy of `event`, its args copied into the chunk's arena. The
-  /// offsets rebase the copy's span id (if nonzero) and run index, as
-  /// rebase() does in place.
+  /// Decode the record at `p` of `block` into `out`; returns the byte just
+  /// past it.
+  static const std::uint8_t* decode(const Block& block, const std::uint8_t* p,
+                                    TraceEvent& out);
+
+ public:
+  /// Append a copy of `event`. The offsets rebase the copy's span id (if
+  /// nonzero) and run index, as rebase() does.
   void push_back(const TraceEvent& event, std::uint64_t span_offset = 0,
                  std::uint64_t run_offset = 0);
   /// Record path: append an event built from labels and emit-side args.
@@ -309,73 +283,86 @@ class EventBuffer {
                std::uint64_t span, std::uint64_t run, Args args);
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// Random access (tests, spot checks). O(log #chunks).
-  const TraceEvent& operator[](std::size_t index) const;
+  /// Random access (tests, spot checks): a decoded copy that owns its args.
+  /// O(log #blocks + records in the block).
+  TraceEvent operator[](std::size_t index) const;
   void clear();
 
   /// Flat copy, for consumers that outlive the buffer (TracedTrial).
   std::vector<TraceEvent> to_vector() const;
 
   /// Add `span_offset` to every nonzero span id and `run_offset` to every
-  /// run index, in place (the merge rebase — integers only, no copies).
+  /// run index (the merge rebase). O(#blocks): the offsets are kept per
+  /// block and applied when a record is decoded.
   void rebase(std::uint64_t span_offset, std::uint64_t run_offset);
 
-  /// Steal every event of `other`, appending in order. Chunk splice: O(#chunks
+  /// Steal every event of `other`, appending in order. Block splice: O(#blocks
   /// of other), no per-event work. `other` is left empty.
   void splice_from(EventBuffer&& other);
 
-  /// Forward iteration in emission order (range-for compatible).
+  /// Heap bytes the buffer holds: its blocks plus their directory.
+  std::size_t memory_bytes() const;
+
+  /// Forward iteration in emission order (range-for compatible). The
+  /// iterator decodes each record into an event it holds, so a reference
+  /// from operator* stays valid only until the next ++.
   class const_iterator {
    public:
     using value_type = TraceEvent;
     using reference = const TraceEvent&;
 
-    reference operator*() const;
-    const TraceEvent* operator->() const { return &**this; }
-    const_iterator& operator++();
-    bool operator==(const const_iterator& other) const {
-      return chunk_ == other.chunk_ && pos_ == other.pos_;
+    reference operator*() const { return event_; }
+    const TraceEvent* operator->() const { return &event_; }
+    const_iterator& operator++() {
+      pos_ = next_;
+      if (pos_ == block_end_) {
+        ++block_;
+        enter_block();
+      } else {
+        next_ = decode(*block_, pos_, event_);
+      }
+      return *this;
     }
+    bool operator==(const const_iterator& other) const { return pos_ == other.pos_; }
     bool operator!=(const const_iterator& other) const { return !(*this == other); }
 
    private:
     friend class EventBuffer;
-    const_iterator(const EventBuffer* buffer, std::size_t chunk, std::size_t pos)
-        : buffer_(buffer), chunk_(chunk), pos_(pos) {}
-    const EventBuffer* buffer_ = nullptr;
-    std::size_t chunk_ = 0;
-    std::size_t pos_ = 0;
+    /// Positioned on the first record of `block`, or at the end if it is
+    /// `last`.
+    const_iterator(const Block* block, const Block* last)
+        : block_(block), last_(last) {
+      enter_block();
+    }
+    /// Decode the first record of `block_`, or mark the end.
+    void enter_block();
+
+    const Block* block_ = nullptr;
+    const Block* last_ = nullptr;         ///< one past the buffer's last block
+    const std::uint8_t* pos_ = nullptr;   ///< the current record; nullptr at the end
+    const std::uint8_t* next_ = nullptr;  ///< just past it
+    const std::uint8_t* block_end_ = nullptr;
+    TraceEvent event_;
   };
-  const_iterator begin() const { return const_iterator{this, 0, 0}; }
-  const_iterator end() const { return const_iterator{this, chunks_.size(), 0}; }
+  const_iterator begin() const {
+    return const_iterator{blocks_.data(), blocks_.data() + blocks_.size()};
+  }
+  const_iterator end() const {
+    return const_iterator{blocks_.data() + blocks_.size(), blocks_.data() + blocks_.size()};
+  }
 
  private:
-  /// Stable-address storage for a chunk's args: fixed blocks, never moved.
-  class ArgArena {
-   public:
-    TraceArg* allocate(std::size_t count);
+  static constexpr std::size_t kFirstBlockBytes = 512;
+  static constexpr std::size_t kMaxBlockBytes = 64 * 1024;
 
-   private:
-    struct Free {
-      void operator()(TraceArg* block) const;
-    };
-    static constexpr std::size_t kBlockArgs = 4096;
-    std::vector<std::unique_ptr<TraceArg, Free>> blocks_;
-    std::size_t used_ = 0;      ///< args handed out from the last block
-    std::size_t capacity_ = 0;  ///< size of the last block
-  };
+  /// Encode one record at the end of the log; `args` walks `arg_count`
+  /// TraceArgs or emit-side Args.
+  template <typename ArgIt>
+  void append(double t, EventKind kind, Label category, Label name, Label track,
+              std::uint64_t span, std::uint64_t run, ArgIt args,
+              std::size_t arg_count);
 
-  struct Chunk {
-    std::uint64_t start = 0;  ///< global index of the chunk's first event
-    std::vector<TraceEvent> events;
-    ArgArena args;
-  };
-
-  /// Append a default event whose args view `arg_count` fresh arena slots
-  /// (returned in `args`, to be constructed by the caller).
-  TraceEvent& append(std::size_t arg_count, TraceArg*& args);
-
-  std::vector<Chunk> chunks_;
+  std::vector<Block> blocks_;
   std::size_t size_ = 0;
 };
 

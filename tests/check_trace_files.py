@@ -9,8 +9,8 @@ committed golden_batch.trace.json byte for byte, and a copy with one
 corrupted line is refused (nonzero exit, the skipped-line count named).
 
 write-errors: a bench whose trace file cannot be written (it is a symlink
-to /dev/full) warns on stderr and prints no `trace:` line, and the
-converter exits nonzero when its stdout is /dev/full.
+to /dev/full) says so on stderr, prints no `trace:` line and exits
+nonzero, and the converter exits nonzero when its stdout is /dev/full.
 """
 import os
 import subprocess
@@ -61,6 +61,8 @@ def check_write_errors(ctl, bench, data_dir):
           f"{name} did not warn about its unwritable trace: {run.stderr!r}")
     check("\ntrace: " not in run.stdout,
           f"{name} reported a trace it could not write")
+    check(run.returncode != 0,
+          f"{name} exited 0 although its trace could not be written")
 
     jsonl = os.path.join(data_dir, "golden_batch.trace.jsonl")
     with open("/dev/full", "wb") as full:

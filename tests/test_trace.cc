@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -109,26 +110,29 @@ TEST(TraceRecorder, RunIndexStampsSubsequentEvents) {
   EXPECT_EQ(rec.events()[1].run, 1u);
 }
 
-// --- Chunked EventBuffer (ISSUE 10) ---------------------------------------
-// Events are stored in fixed-capacity chunks (no re-moves on growth, merge
-// by chunk splice). These pin the behavior right at the chunk seams.
+// --- EventBuffer byte records -----------------------------------------------
+// Events are stored as byte records in blocks that start small and double
+// (no re-moves on growth, merge by block splice). These pin the behavior
+// across many block seams.
 
 TEST(EventBuffer, IndexingAndIterationCrossChunkBoundaries) {
   EventBuffer buffer;
-  const std::size_t total = EventBuffer::kChunkCapacity * 2 + 7;
+  // About 15 bytes a record: this fills every block size up to the cap and
+  // several capped blocks.
+  const std::size_t total = 20'007;
   for (std::size_t i = 0; i < total; ++i) {
     TraceEvent event;
     event.t = static_cast<double>(i);
-    event.name = Label("e" + std::to_string(i));
+    event.name = Label("e" + std::to_string(i % 50));
     buffer.push_back(std::move(event));
   }
   ASSERT_EQ(buffer.size(), total);
-  // Random access at the seams.
-  for (std::size_t i : {std::size_t{0}, EventBuffer::kChunkCapacity - 1,
-                        EventBuffer::kChunkCapacity,
-                        2 * EventBuffer::kChunkCapacity, total - 1}) {
-    EXPECT_EQ(buffer[i].name, "e" + std::to_string(i)) << i;
+  // Random access: every index of the small leading blocks, then a stride.
+  for (std::size_t i = 0; i < total; i += i < 2000 ? 1 : 97) {
+    EXPECT_EQ(buffer[i].t, static_cast<double>(i)) << i;
+    EXPECT_EQ(buffer[i].name, "e" + std::to_string(i % 50)) << i;
   }
+  EXPECT_EQ(buffer[total - 1].t, static_cast<double>(total - 1));
   // Full iteration visits every event in emission order.
   std::size_t index = 0;
   for (const TraceEvent& event : buffer) {
@@ -142,7 +146,7 @@ TEST(EventBuffer, IndexingAndIterationCrossChunkBoundaries) {
 TEST(EventBuffer, SpliceMovesEverythingAndEmptiesTheSource) {
   EventBuffer a;
   EventBuffer b;
-  const std::size_t per_side = EventBuffer::kChunkCapacity + 3;
+  const std::size_t per_side = 5'003;
   for (std::size_t i = 0; i < per_side; ++i) {
     TraceEvent ea;
     ea.t = static_cast<double>(i);
@@ -156,6 +160,204 @@ TEST(EventBuffer, SpliceMovesEverythingAndEmptiesTheSource) {
   EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move): documented
   EXPECT_EQ(a[per_side].t, 1000.0);          // first spliced event
   EXPECT_EQ(a[2 * per_side - 1].t, 1000.0 + per_side - 1);
+}
+
+/// Bit-exact event equality (a NaN or -0.0 timestamp must come back as
+/// itself).
+bool same_event(const TraceEvent& a, const TraceEvent& b) {
+  return std::bit_cast<std::uint64_t>(a.t) == std::bit_cast<std::uint64_t>(b.t) &&
+         a.span == b.span && a.run == b.run && a.kind == b.kind &&
+         a.category == b.category && a.name == b.name && a.track == b.track &&
+         a.args == b.args;
+}
+
+std::string jsonl_of(const auto& events) {
+  std::ostringstream out;
+  write_jsonl(events, out);
+  return out.str();
+}
+
+TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
+  // Property fuzz: random emplace/push_back/rebase/splice/clear ops on an
+  // EventBuffer, mirrored on a std::vector<TraceEvent>. Appends honor an
+  // event cap the way TraceRecorder does (drops past it; a splice that
+  // would cross it falls back to per-event copies). After every op the
+  // buffer must read back exactly the model: iteration, operator[],
+  // to_vector and the JSONL bytes.
+  util::Rng rng(2026);
+  const auto pick = [&](std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(0, hi - 1));
+  };
+  const std::vector<std::string> texts = {"",      "ses",   "fault.manifest", "board",
+                                          "q\"uo", "t\tab", "vé",             "a\\b"};
+  const std::vector<std::uint64_t> unsigneds = {
+      0, 1, 127, 128, 16383, 16384, 0xFFFFFFFFull, 1ull << 63,
+      std::numeric_limits<std::uint64_t>::max(), std::numeric_limits<std::uint64_t>::max() - 1};
+  const std::vector<std::int64_t> signeds = {0,   -1,  1,   -64, 63, -65, 64,
+                                             std::numeric_limits<std::int64_t>::min(),
+                                             std::numeric_limits<std::int64_t>::max()};
+  const auto u64 = [&] {
+    return rng.chance(0.5) ? unsigneds[pick(static_cast<std::int64_t>(unsigneds.size()))]
+                           : rng.next_u64() >> pick(64);
+  };
+  const auto i64 = [&] {
+    return rng.chance(0.5) ? signeds[pick(static_cast<std::int64_t>(signeds.size()))]
+                           : static_cast<std::int64_t>(rng.next_u64()) >> pick(64);
+  };
+  const auto real = [&] {
+    switch (pick(6)) {
+      case 0: return -0.0;
+      case 1: return std::bit_cast<double>(0x7FF8'0000'0000'0001ull | (rng.next_u64() >> 14));
+      case 2: return std::bit_cast<double>(0xFFF0'0000'0000'0001ull);  // signalling, negative
+      case 3: return std::numeric_limits<double>::infinity();
+      case 4: return std::bit_cast<double>(rng.next_u64());
+      default: return rng.uniform(-1e6, 1e6);
+    }
+  };
+  // Spans and runs stay far below 2^64 so no rebase wraps them.
+  const auto span_id = [&] { return rng.chance(0.3) ? 0 : rng.next_u64() >> (2 + pick(60)); };
+  const auto offset = [&] { return rng.chance(0.3) ? 0 : rng.next_u64() >> (24 + pick(40)); };
+  const auto arg_count = [&] { return rng.chance(0.02) ? 60 + pick(10) : pick(6); };
+
+  const auto text = [&]() -> const std::string& {
+    return texts[pick(static_cast<std::int64_t>(texts.size()))];
+  };
+  const auto label = [&] { return Label(text()); };
+  // An emit-side arg of every type but kNumber (which only counters carry).
+  const auto emit_arg = [&]() -> Arg {
+    const std::string_view key = text();
+    switch (pick(4)) {
+      case 0: return {key, std::string_view(text())};
+      case 1: return {key, u64()};
+      case 2: return {key, i64()};
+      default: return {key, Fixed{real(), static_cast<int>(pick(41))}};
+    }
+  };
+  const auto random_event = [&] {
+    TraceEvent event;
+    event.t = real();
+    event.kind = static_cast<EventKind>(pick(4));
+    event.category = label();
+    event.name = label();
+    event.track = label();
+    event.span = span_id();
+    event.run = rng.next_u64() >> (2 + pick(60));
+    for (std::size_t i = arg_count(); i > 0; --i) {
+      event.args.push_back(rng.chance(0.2) ? TraceArg::number(text(), real())
+                                           : TraceArg(emit_arg()));
+    }
+    return event;
+  };
+  const auto rebased = [](TraceEvent event, std::uint64_t span_offset,
+                          std::uint64_t run_offset) {
+    if (event.span != 0) event.span += span_offset;
+    event.run += run_offset;
+    return event;
+  };
+
+  constexpr std::size_t kCap = 400;
+  EventBuffer buffer;
+  std::vector<TraceEvent> model;
+  std::uint64_t dropped = 0;
+  std::uint64_t expected_dropped = 0;
+  const auto has_room = [&] {
+    if (buffer.size() < kCap) return true;
+    ++dropped;
+    return false;
+  };
+  const auto model_append = [&](TraceEvent event) {
+    if (model.size() < kCap) {
+      model.push_back(std::move(event));
+    } else {
+      ++expected_dropped;
+    }
+  };
+
+  for (int op = 0; op < 10'000; ++op) {
+    const std::size_t kind = pick(100);
+    if (kind < 35) {  // record path
+      TraceEvent expected = random_event();
+      expected.args.clear();
+      std::vector<Arg> args;
+      for (std::size_t i = arg_count(); i > 0; --i) {
+        args.push_back(emit_arg());
+        expected.args.emplace_back(args.back());
+      }
+      if (has_room()) {
+        buffer.emplace(expected.t, expected.kind, expected.category, expected.name,
+                       expected.track, expected.span, expected.run, args);
+      }
+      model_append(std::move(expected));
+    } else if (kind < 70) {  // copy path, counters included
+      TraceEvent event = random_event();
+      if (rng.chance(0.2)) {
+        event.kind = EventKind::kCounter;
+        event.span = 0;
+        event.args = {TraceArg::number("value", real())};
+      }
+      const std::uint64_t span_offset = offset();
+      const std::uint64_t run_offset = offset();
+      if (has_room()) buffer.push_back(event, span_offset, run_offset);
+      model_append(rebased(event, span_offset, run_offset));
+    } else if (kind < 80) {  // rebase in place
+      const std::uint64_t span_offset = offset();
+      const std::uint64_t run_offset = offset();
+      buffer.rebase(span_offset, run_offset);
+      for (TraceEvent& event : model) event = rebased(event, span_offset, run_offset);
+    } else if (kind < 97) {  // merge another buffer, maybe rebased first
+      EventBuffer other;
+      std::vector<TraceEvent> other_model;
+      for (std::size_t i = pick(3) == 0 ? pick(200) : pick(12); i > 0; --i) {
+        other_model.push_back(random_event());
+        other.push_back(other_model.back());
+        if (rng.chance(0.05)) {
+          const std::uint64_t span_offset = offset();
+          const std::uint64_t run_offset = offset();
+          other.rebase(span_offset, run_offset);
+          for (TraceEvent& event : other_model) event = rebased(event, span_offset, run_offset);
+        }
+      }
+      const std::uint64_t span_offset = offset();
+      const std::uint64_t run_offset = offset();
+      for (const TraceEvent& event : other_model) {
+        model_append(rebased(event, span_offset, run_offset));
+      }
+      if (buffer.size() + other.size() <= kCap) {
+        other.rebase(span_offset, run_offset);
+        buffer.splice_from(std::move(other));
+        ASSERT_TRUE(other.empty()) << "op " << op;  // NOLINT(bugprone-use-after-move)
+      } else {
+        for (const TraceEvent& event : other) {
+          if (has_room()) buffer.push_back(event, span_offset, run_offset);
+        }
+      }
+    } else {
+      buffer.clear();
+      model.clear();
+    }
+
+    ASSERT_EQ(buffer.size(), model.size()) << "op " << op;
+    ASSERT_EQ(dropped, expected_dropped) << "op " << op;
+    std::size_t i = 0;
+    for (const TraceEvent& event : buffer) {
+      ASSERT_TRUE(same_event(event, model[i])) << "op " << op << " event " << i;
+      ++i;
+    }
+    ASSERT_EQ(i, model.size()) << "op " << op;
+    if (!model.empty()) {
+      for (const std::size_t at : {std::size_t{0}, model.size() - 1,
+                                   pick(static_cast<std::int64_t>(model.size()))}) {
+        ASSERT_TRUE(same_event(buffer[at], model[at])) << "op " << op << " index " << at;
+      }
+    }
+    const std::vector<TraceEvent> copy = buffer.to_vector();
+    ASSERT_EQ(copy.size(), model.size()) << "op " << op;
+    for (std::size_t k = 0; k < copy.size(); ++k) {
+      ASSERT_TRUE(same_event(copy[k], model[k])) << "op " << op << " event " << k;
+    }
+    ASSERT_EQ(jsonl_of(buffer), jsonl_of(model)) << "op " << op;
+  }
+  EXPECT_GT(expected_dropped, 0u);
 }
 
 TEST(TraceRecorder, DestructiveMergeMatchesCopyingMergeByteForByte) {
@@ -810,9 +1012,15 @@ TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
   EXPECT_EQ(spliced.counters(), serial.counters());
 }
 
+/// What `days` of the Table-1 station record.
+struct Recording {
+  std::size_t events = 0;
+  std::size_t bytes = 0;  ///< EventBuffer::memory_bytes
+};
+
 /// Record `days` of the Table-1 station (fused fedrcom, Table-1 fault
-/// rates, no repair loop) and return the recorder's event count.
-std::size_t record_table1_days(double days) {
+/// rates, no repair loop).
+Recording record_table1_days(double days) {
   station::StationConfig config;
   config.split_fedrcom = false;
   config.enable_domain_behavior = false;
@@ -830,19 +1038,32 @@ std::size_t record_table1_days(double days) {
   station.boot_instant();
   injector.start();
   sim.run_for(util::Duration::days(days));
-  return rec.events().size();
+  return {rec.events().size(), rec.events().memory_bytes()};
 }
 
 TEST(TraceFootprint, InternPoolDoesNotGrowWithEventCount) {
   // A value interned per event (a fault id as a string, say) would grow the
   // process-wide pool without bound; the pool must depend only on the set
   // of distinct labels, which two simulated years do not widen.
-  const std::size_t short_events = record_table1_days(30.0);
+  const std::size_t short_events = record_table1_days(30.0).events;
   const std::size_t after_short = interned_label_count();
-  const std::size_t long_events = record_table1_days(730.0);
+  const std::size_t long_events = record_table1_days(730.0).events;
   const std::size_t after_long = interned_label_count();
   EXPECT_GT(long_events, 10 * short_events);
   EXPECT_EQ(after_long, after_short);
+}
+
+TEST(TraceFootprint, TwoYearRecordingIsCompact) {
+  // Two simulated years record about 10^5 fault.manifest instants with four
+  // args each. As byte records they take about 25 bytes apiece (a decoded
+  // TraceEvent plus its args is 120).
+  const Recording two_years = record_table1_days(730.0);
+  ASSERT_GT(two_years.events, 100'000u);
+  const double per_event =
+      static_cast<double>(two_years.bytes) / static_cast<double>(two_years.events);
+  RecordProperty("bytes_per_event", std::to_string(per_event));
+  EXPECT_LE(per_event, 40.0) << two_years.bytes << " bytes for " << two_years.events
+                             << " events";
 }
 
 }  // namespace
