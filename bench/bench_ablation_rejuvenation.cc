@@ -62,7 +62,7 @@ Outcome long_run(MercuryTree tree, std::uint64_t seed) {
 
   Outcome outcome;
   outcome.fedr_failures = injector.injected(names::kFedr);
-  outcome.fedr_mttf_min = injector.inter_failure_times(names::kFedr).mean() / 60.0;
+  outcome.fedr_mttf_min = injector.mean_inter_failure(names::kFedr) / 60.0;
   for (const auto& record : rig.rec().history()) {
     for (const auto& component : record.restarted) {
       if (component == names::kFedr) ++outcome.fedr_restarts;

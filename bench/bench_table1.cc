@@ -63,8 +63,8 @@ int main() {
             widths);
   print_rule(widths);
   for (const Row& row : rows) {
-    const auto& stats = injector.inter_failure_times(row.component);
-    const double measured_hours = stats.mean() / 3600.0;
+    const double measured_hours =
+        injector.mean_inter_failure(row.component) / 3600.0;
     print_row({row.component, row.paper, std::to_string(injector.injected(row.component)),
                mercury::util::format_fixed(measured_hours, 3) + " hr",
                mercury::util::format_fixed(measured_hours / row.paper_hours, 3)},

@@ -51,23 +51,21 @@ FailureSpec make_joint(std::string manifest, std::vector<std::string> cure_set);
 /// session/attachment state is stale (cure: soft recovery or restart).
 FailureSpec make_stale_attachment(std::string component);
 
+/// An active failure as the board hands it to listeners and callers.
 struct ActiveFailure {
   FailureId id = 0;
   util::TimePoint onset;
   /// The failure's spec, interned in its FailureBoard's spec pool: shared by
   /// every failure injected with an equal spec, valid while the board lives.
   const FailureSpec* spec = nullptr;
-  /// Bit i is set once spec->cure_set[i] has completed a restart since onset.
+  /// Bit i is set once spec->cure_set[i] has completed a restart since onset
+  /// (the board derives it from its per-component restart watermarks).
   std::uint32_t restarted = 0;
 
   bool cured() const {
     return restarted == (std::uint64_t{1} << spec->cure_set.size()) - 1;
   }
 };
-
-/// A never-cured failure (the Table-1 run keeps ~10^5 of them) costs one
-/// small record; the spec it points to is shared.
-static_assert(sizeof(ActiveFailure) <= 32, "ActiveFailure must stay compact");
 
 /// Restart-time fault model: the cure itself is a fault domain. A restart
 /// attempt of a component can hang (startup never completes), crash during

@@ -21,6 +21,8 @@ void trace_cured(const ActiveFailure& failure, util::TimePoint now) {
   obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
 }
 
+bool by_id(const ActiveFailure& a, const ActiveFailure& b) { return a.id < b.id; }
+
 }  // namespace
 
 FailureSpec make_crash(std::string component) {
@@ -62,11 +64,12 @@ FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
     it = std::find(cure_set.begin(), it, *it) != it ? cure_set.erase(it) : it + 1;
   }
   assert(cure_set.size() <= 32 && "restarted is a 32-bit mask");
-  ActiveFailure failure;
-  failure.id = next_id_++;
-  failure.spec = &*specs_.insert(std::move(spec)).first;
-  failure.onset = now;
-  active_.push_back(failure);
+  const Pending pending{next_id_++, now};
+  const auto entry = pending_.try_emplace(std::move(spec)).first;
+  entry->second.push_back(pending);
+  ++active_count_;
+  // Nothing has restarted since this onset yet.
+  const ActiveFailure failure{pending.id, pending.onset, &entry->first};
   if (obs::enabled()) {
     obs::instant(now, "fault", "fault.manifest", "board",
                  {{"manifest", failure.spec->manifest},
@@ -75,46 +78,71 @@ FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
                   {"id", failure.id}});
   }
   obs::incr("faults.injected");
-  for (const auto& listener : inject_listeners_) listener(active_.back());
+  for (const auto& listener : inject_listeners_) listener(failure);
   return failure.id;
+}
+
+FailureId FailureBoard::watermark(const std::string& component) const {
+  const auto it = restarted_below_.find(component);
+  return it != restarted_below_.end() ? it->second : 0;
+}
+
+ActiveFailure FailureBoard::make_active(const FailureSpec& spec,
+                                        const Pending& pending) const {
+  ActiveFailure failure;
+  failure.id = pending.id;
+  failure.onset = pending.onset;
+  failure.spec = &spec;
+  for (std::size_t i = 0; i < spec.cure_set.size(); ++i) {
+    if (watermark(spec.cure_set[i]) > pending.id) {
+      failure.restarted |= std::uint32_t{1} << i;
+    }
+  }
+  return failure;
 }
 
 void FailureBoard::on_restart_complete(const std::string& component,
                                        util::TimePoint now) {
+  // The restart marks every failure active now, i.e. every id below next_id_.
+  restarted_below_.insert_or_assign(component, next_id_);
   std::vector<ActiveFailure> cured;
-  for (auto& failure : active_) {
-    const auto& cure_set = failure.spec->cure_set;
-    const auto member = std::find(cure_set.begin(), cure_set.end(), component);
-    if (member == cure_set.end()) continue;
-    failure.restarted |= std::uint32_t{1} << (member - cure_set.begin());
-    if (failure.cured()) cured.push_back(failure);
+  for (auto& [spec, queue] : pending_) {
+    const auto& cure_set = spec.cure_set;
+    if (queue.empty() ||
+        std::find(cure_set.begin(), cure_set.end(), component) == cure_set.end()) {
+      continue;
+    }
+    // A failure is cured once every member restarted after its onset: its id
+    // is below every member's watermark. Ids ascend, so that is a prefix.
+    FailureId cured_below = next_id_;
+    for (const auto& member : cure_set) {
+      cured_below = std::min(cured_below, watermark(member));
+    }
+    while (!queue.empty() && queue.front().id < cured_below) {
+      cured.push_back(make_active(spec, queue.front()));
+      queue.pop_front();
+    }
   }
-  if (cured.empty()) return;
-  active_.erase(std::remove_if(active_.begin(), active_.end(),
-                               [](const ActiveFailure& f) { return f.cured(); }),
-                active_.end());
-  total_cured_ += cured.size();
-  for (const auto& failure : cured) {
-    trace_cured(failure, now);
-    for (const auto& listener : cure_listeners_) listener(failure, now);
-  }
+  finish_cures(cured, now);
 }
 
 void FailureBoard::on_soft_recovery_complete(const std::string& component,
                                              util::TimePoint now) {
   std::vector<ActiveFailure> cured;
-  for (const auto& failure : active_) {
-    if (failure.spec->soft_curable && failure.spec->manifest == component) {
-      cured.push_back(failure);
-    }
+  for (auto& [spec, queue] : pending_) {
+    if (!spec.soft_curable || spec.manifest != component) continue;
+    for (const Pending& pending : queue) cured.push_back(make_active(spec, pending));
+    queue.clear();
   }
+  finish_cures(cured, now);
+}
+
+void FailureBoard::finish_cures(std::vector<ActiveFailure>& cured,
+                                util::TimePoint now) {
   if (cured.empty()) return;
-  active_.erase(std::remove_if(active_.begin(), active_.end(),
-                               [&](const ActiveFailure& f) {
-                                 return f.spec->soft_curable &&
-                                        f.spec->manifest == component;
-                               }),
-                active_.end());
+  // Specs are visited in key order; cures fire in injection order.
+  std::sort(cured.begin(), cured.end(), by_id);
+  active_count_ -= cured.size();
   total_cured_ += cured.size();
   for (const auto& failure : cured) {
     trace_cured(failure, now);
@@ -122,26 +150,57 @@ void FailureBoard::on_soft_recovery_complete(const std::string& component,
   }
 }
 
-bool FailureBoard::manifests_at(const std::string& component) const {
-  return std::any_of(active_.begin(), active_.end(), [&](const ActiveFailure& f) {
-    return f.spec->manifest == component;
-  });
-}
-
 std::vector<ActiveFailure> FailureBoard::active_at(const std::string& component) const {
   std::vector<ActiveFailure> out;
-  for (const auto& failure : active_) {
-    if (failure.spec->manifest == component) out.push_back(failure);
+  for (const auto& [spec, queue] : pending_) {
+    if (spec.manifest != component) continue;
+    for (const Pending& pending : queue) out.push_back(make_active(spec, pending));
   }
+  std::sort(out.begin(), out.end(), by_id);
+  return out;
+}
+
+std::vector<ActiveFailure> FailureBoard::active() const {
+  std::vector<ActiveFailure> out;
+  out.reserve(active_count_);
+  for (const auto& [spec, queue] : pending_) {
+    for (const Pending& pending : queue) out.push_back(make_active(spec, pending));
+  }
+  std::sort(out.begin(), out.end(), by_id);
   return out;
 }
 
 bool FailureBoard::clear(FailureId id) {
-  const auto it = std::find_if(active_.begin(), active_.end(),
-                               [id](const ActiveFailure& f) { return f.id == id; });
-  if (it == active_.end()) return false;
-  active_.erase(it);
-  return true;
+  for (auto& [spec, queue] : pending_) {
+    const auto it = std::lower_bound(
+        queue.begin(), queue.end(), id,
+        [](const Pending& pending, FailureId key) { return pending.id < key; });
+    if (it == queue.end() || it->id != id) continue;
+    queue.erase(it);
+    --active_count_;
+    return true;
+  }
+  return false;
+}
+
+std::size_t FailureBoard::memory_bytes() const {
+  // A red-black tree node is four words of links and colour, then the value.
+  constexpr std::size_t kTreeNode = 4 * sizeof(void*);
+  // libstdc++ stores a deque in 512-byte blocks plus a map of block
+  // pointers (at least 8), and keeps one block even when empty.
+  constexpr std::size_t kDequeBlock = 512;
+  constexpr std::size_t kPerBlock = kDequeBlock / sizeof(Pending);
+  // Component names and kinds fit the small-string buffer.
+  std::size_t bytes = 0;
+  for (const auto& [spec, queue] : pending_) {
+    bytes += kTreeNode + sizeof(SpecQueues::value_type) +
+             spec.cure_set.capacity() * sizeof(std::string);
+    const std::size_t blocks = queue.size() / kPerBlock + 1;
+    bytes += blocks * kDequeBlock + std::max<std::size_t>(8, blocks + 2) * sizeof(void*);
+  }
+  bytes += restarted_below_.size() *
+           (kTreeNode + sizeof(std::pair<const std::string, FailureId>));
+  return bytes;
 }
 
 void FailureBoard::set_restart_faults(const std::string& component,

@@ -12,15 +12,20 @@
 // cure sets from the board; realistic oracles never do.
 //
 // Storage: a run without a repair loop keeps every failure it ever injected
-// (~10^5 in the two-year Table-1 run), so each is a 32-byte ActiveFailure
-// pointing at a shared spec, and the records sit in a deque, which grows
-// without moving the ones already stored.
+// (~10^5 in the two-year Table-1 run), so a never-cured failure costs one
+// 16-byte Pending entry (id, onset) and nothing else. Equal specs are
+// interned once as map keys; each key's value is that spec's active failures
+// in id order. Instead of a restarted mask per failure, the board keeps one
+// watermark per component: the next id at that component's last restart.
+// Ids grow with time, so within one spec the cured failures are always a
+// prefix of its queue, and ActiveFailure values (with their restarted mask)
+// are built from the watermarks only when a caller asks for them.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,14 +53,36 @@ class FailureBoard {
                                  util::TimePoint now);
 
   /// True if some active failure manifests at `component` (it must appear
-  /// fail-silent).
-  bool manifests_at(const std::string& component) const;
+  /// fail-silent). O(#distinct specs).
+  bool manifests_at(const std::string& component) const {
+    return any_manifest(
+        [&](const std::string& manifest) { return manifest == component; });
+  }
 
-  /// Active failures manifesting at `component` (usually zero or one).
+  /// True if some active failure's manifest component satisfies `pred`.
+  /// O(#distinct specs): builds no ActiveFailure.
+  template <typename Pred>
+  bool any_manifest(Pred pred) const {
+    if (active_count_ == 0) return false;  // every ping answered while healthy
+    for (const auto& [spec, queue] : pending_) {
+      if (!queue.empty() && pred(spec.manifest)) return true;
+    }
+    return false;
+  }
+
+  /// Active failures manifesting at `component` (usually zero or one), in id
+  /// order.
   std::vector<ActiveFailure> active_at(const std::string& component) const;
 
-  const std::deque<ActiveFailure>& active() const { return active_; }
-  bool any_active() const { return !active_.empty(); }
+  /// Every active failure in id order, built on demand: O(active). For tests
+  /// and diagnostics; hot paths use manifests_at / any_manifest.
+  std::vector<ActiveFailure> active() const;
+  bool any_active() const { return active_count_ > 0; }
+  std::size_t active_count() const { return active_count_; }
+
+  /// Heap bytes the board's failure storage holds (interned specs, their
+  /// queues counted as libstdc++'s 512-byte deque blocks, the watermarks).
+  std::size_t memory_bytes() const;
 
   /// Forcibly clear a failure (used by tests); returns false if unknown.
   /// Does NOT fire cure listeners: the failure was removed, not cured.
@@ -92,11 +119,32 @@ class FailureBoard {
   std::uint64_t restart_crashes() const { return restart_crashes_; }
 
  private:
-  /// Active failures in injection (= id) order.
-  std::deque<ActiveFailure> active_;
-  /// Every distinct spec injected so far; set nodes never move, so the
-  /// records' spec pointers stay valid for the board's lifetime.
-  std::set<FailureSpec> specs_;
+  /// One active failure of a known spec.
+  struct Pending {
+    FailureId id;
+    util::TimePoint onset;
+  };
+  /// A never-cured failure (the Table-1 run keeps ~10^5 of them) costs this
+  /// much and nothing else.
+  static_assert(sizeof(Pending) == 16, "Pending must stay compact");
+  using SpecQueues = std::map<FailureSpec, std::deque<Pending>>;
+
+  /// `restarted_below_[component]`, or 0 if it never restarted.
+  FailureId watermark(const std::string& component) const;
+  ActiveFailure make_active(const FailureSpec& spec, const Pending& pending) const;
+  /// Sort `cured` by id, count it, and fire trace events and cure listeners.
+  void finish_cures(std::vector<ActiveFailure>& cured, util::TimePoint now);
+
+  /// Every distinct spec injected so far, mapped to its active failures in
+  /// id order. Map nodes never move and are never erased, so the spec
+  /// pointers handed out in ActiveFailure stay valid for the board's
+  /// lifetime.
+  SpecQueues pending_;
+  /// next_id_ as it stood when the component's last restart completed: a
+  /// failure with a smaller id has seen a restart of the component since its
+  /// onset.
+  std::map<std::string, FailureId, std::less<>> restarted_below_;
+  std::size_t active_count_ = 0;
   std::vector<CureListener> cure_listeners_;
   std::vector<InjectListener> inject_listeners_;
   std::map<std::string, RestartFaultSpec> restart_faults_;

@@ -159,7 +159,8 @@ void FaultInjector::fire(Source& source) {
 
   ++source.injected;
   if (source.has_failed_before) {
-    source.inter_failure.add(now - source.last_failure);
+    source.inter_failure_sum += (now - source.last_failure).to_seconds();
+    ++source.inter_failures;
   }
   source.last_failure = now;
   source.has_failed_before = true;
@@ -178,11 +179,11 @@ std::uint64_t FaultInjector::total_injected() const {
   return total;
 }
 
-const util::SampleStats& FaultInjector::inter_failure_times(
-    const std::string& component) const {
-  static const util::SampleStats kEmpty;
+double FaultInjector::mean_inter_failure(const std::string& component) const {
   const auto it = sources_.find(component);
-  return it != sources_.end() ? it->second.inter_failure : kEmpty;
+  if (it == sources_.end() || it->second.inter_failures == 0) return 0.0;
+  return it->second.inter_failure_sum /
+         static_cast<double>(it->second.inter_failures);
 }
 
 }  // namespace mercury::station

@@ -21,7 +21,6 @@
 #include "core/failure.h"
 #include "station/station.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/time.h"
 
 namespace mercury::station {
@@ -104,10 +103,11 @@ class FaultInjector {
   std::uint64_t injected(const std::string& component) const;
   std::uint64_t total_injected() const;
 
-  /// Observed inter-failure times per component (empirical MTTF check for
-  /// Table 1). For fedr this measures the *effective* MTTF including
-  /// rejuvenation by intervening restarts.
-  const util::SampleStats& inter_failure_times(const std::string& component) const;
+  /// Mean observed inter-failure time of `component` in seconds, 0 before
+  /// its second failure (empirical MTTF check for Table 1). For fedr this
+  /// measures the *effective* MTTF including rejuvenation by intervening
+  /// restarts.
+  double mean_inter_failure(const std::string& component) const;
 
  private:
   struct Source {
@@ -116,7 +116,10 @@ class FaultInjector {
     std::uint64_t injected = 0;
     util::TimePoint last_failure;
     bool has_failed_before = false;
-    util::SampleStats inter_failure;
+    /// Running sum and count of inter-failure times (seconds): the mean is
+    /// all any caller reads, so no sample is kept.
+    double inter_failure_sum = 0.0;
+    std::uint64_t inter_failures = 0;
   };
 
   void schedule_next(Source& source);

@@ -131,8 +131,10 @@ bool Station::all_functional() const {
 
 bool Station::functional_except(const std::set<std::string>& excluded) const {
   if (!bus_->online()) return false;
-  for (const auto& failure : board_.active()) {
-    if (!excluded.contains(failure.spec->manifest)) return false;
+  if (board_.any_manifest([&](const std::string& manifest) {
+        return !excluded.contains(manifest);
+      })) {
+    return false;
   }
   for (const auto& [name, component] : components_) {
     if (excluded.contains(name)) continue;

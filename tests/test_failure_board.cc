@@ -1,8 +1,22 @@
 // Unit tests: the failure board's cure rule (§4's f_ci machinery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <iterator>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/failure_board.h"
 #include "obs/trace.h"
+#include "sim/simulator.h"
+#include "station/fault_injector.h"
+#include "station/station.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace mercury::core {
 namespace {
@@ -244,6 +258,248 @@ TEST(FailureBoard, CountersTrack) {
   EXPECT_EQ(board.total_injected(), 2u);
   board.on_restart_complete("a", at(1.0));
   EXPECT_EQ(board.total_cured(), 1u);
+}
+
+// --- Differential against the per-failure-mask board -------------------------
+
+/// The board as it stood before restart watermarks: one deque of every
+/// active failure in id order, each carrying its own restarted mask, cured
+/// by scanning the whole deque. Kept as the oracle the compact board must
+/// match op for op.
+class ReferenceBoard {
+ public:
+  FailureId inject(FailureSpec spec, TimePoint now) {
+    auto& cure_set = spec.cure_set;
+    for (auto it = cure_set.begin(); it != cure_set.end();) {
+      it = std::find(cure_set.begin(), it, *it) != it ? cure_set.erase(it) : it + 1;
+    }
+    ActiveFailure failure;
+    failure.id = next_id_++;
+    failure.spec = &*specs_.insert(std::move(spec)).first;
+    failure.onset = now;
+    active_.push_back(failure);
+    obs::instant(now, "fault", "fault.manifest", "board",
+                 {{"manifest", failure.spec->manifest},
+                  {"cure", util::join(failure.spec->cure_set, ",")},
+                  {"kind", failure.spec->kind},
+                  {"id", failure.id}});
+    obs::incr("faults.injected");
+    injected.push_back(failure);
+    return failure.id;
+  }
+
+  void on_restart_complete(const std::string& component, TimePoint now) {
+    std::vector<ActiveFailure> batch;
+    for (auto& failure : active_) {
+      const auto& cure_set = failure.spec->cure_set;
+      const auto member = std::find(cure_set.begin(), cure_set.end(), component);
+      if (member == cure_set.end()) continue;
+      failure.restarted |= std::uint32_t{1} << (member - cure_set.begin());
+      if (failure.cured()) batch.push_back(failure);
+    }
+    std::erase_if(active_, [](const ActiveFailure& f) { return f.cured(); });
+    finish(batch, now);
+  }
+
+  void on_soft_recovery_complete(const std::string& component, TimePoint now) {
+    const auto soft = [&](const ActiveFailure& f) {
+      return f.spec->soft_curable && f.spec->manifest == component;
+    };
+    std::vector<ActiveFailure> batch;
+    std::copy_if(active_.begin(), active_.end(), std::back_inserter(batch), soft);
+    std::erase_if(active_, soft);
+    finish(batch, now);
+  }
+
+  bool manifests_at(const std::string& component) const {
+    return !active_at(component).empty();
+  }
+
+  std::vector<ActiveFailure> active_at(const std::string& component) const {
+    std::vector<ActiveFailure> out;
+    std::copy_if(active_.begin(), active_.end(), std::back_inserter(out),
+                 [&](const ActiveFailure& f) { return f.spec->manifest == component; });
+    return out;
+  }
+
+  bool clear(FailureId id) {
+    return std::erase_if(active_, [id](const ActiveFailure& f) { return f.id == id; }) > 0;
+  }
+
+  const std::deque<ActiveFailure>& active() const { return active_; }
+  std::uint64_t total_cured() const { return total_cured_; }
+
+  std::vector<ActiveFailure> injected;
+  std::vector<ActiveFailure> cured;
+
+ private:
+  void finish(const std::vector<ActiveFailure>& batch, TimePoint now) {
+    total_cured_ += batch.size();
+    for (const auto& failure : batch) {
+      obs::instant(now, "fault", "fault.cured", "board",
+                   {{"manifest", failure.spec->manifest},
+                    {"id", failure.id},
+                    {"kind", failure.spec->kind}});
+      obs::incr("faults.cured");
+      obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
+      cured.push_back(failure);
+    }
+  }
+
+  std::deque<ActiveFailure> active_;
+  std::set<FailureSpec> specs_;
+  FailureId next_id_ = 1;
+  std::uint64_t total_cured_ = 0;
+};
+
+/// Equal failures, with specs compared by value (each board interns its own).
+template <typename A, typename B>
+::testing::AssertionResult same_failures(const A& got, const B& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " failures, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ActiveFailure& g = got[i];
+    const ActiveFailure& w = want[i];
+    if (g.id != w.id || g.onset != w.onset || *g.spec != *w.spec ||
+        g.restarted != w.restarted) {
+      return ::testing::AssertionFailure()
+             << "failure " << i << ": id " << g.id << " want " << w.id
+             << ", restarted " << g.restarted << " want " << w.restarted;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string jsonl_of(const obs::TraceRecorder& recorder) {
+  std::ostringstream out;
+  recorder.write_jsonl(out);
+  return out.str() + recorder.metrics_summary();
+}
+
+TEST(FailureBoard, RandomizedDifferentialAgainstPerFailureMaskModel) {
+  // Property fuzz: drive the board and the reference with the same random
+  // injects (crash, joint, stale-attachment, repeated cure-set members),
+  // restarts, soft recoveries and clears of live and unknown ids. After every
+  // op the listener sequences, every query and the recorded trace must match.
+  const std::vector<std::string> pool = {"fedr", "pbcom", "ses", "str", "rtu"};
+  util::Rng rng(2024);
+  const auto pick = [&]() -> const std::string& {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+
+  FailureBoard board;
+  ReferenceBoard reference;
+  std::vector<ActiveFailure> injected, cured;
+  board.add_inject_listener([&](const ActiveFailure& f) { injected.push_back(f); });
+  board.add_cure_listener(
+      [&](const ActiveFailure& f, TimePoint) { cured.push_back(f); });
+  obs::TraceRecorder board_trace, reference_trace;
+
+  // Runs `op` against each board under its own recorder.
+  const auto both = [&](const auto& on_board, const auto& on_reference) {
+    {
+      obs::ScopedRecorder scope(board_trace);
+      on_board();
+    }
+    obs::ScopedRecorder scope(reference_trace);
+    on_reference();
+  };
+
+  for (int op = 0; op < 10'000 && !HasFailure(); ++op) {
+    const TimePoint now = at(op);
+    const auto kind = rng.uniform_int(0, 19);
+    if (kind < 8) {
+      FailureSpec spec;
+      const auto shape = rng.uniform_int(0, 3);
+      if (shape == 0) {
+        spec = make_crash(pick());
+      } else if (shape == 1) {
+        spec = make_stale_attachment(pick());
+      } else if (shape == 2) {
+        spec = make_joint(pick(), {pick(), pick()});
+      } else {  // repeated members, unsorted, maybe soft-curable
+        spec.manifest = pick();
+        spec.cure_set = {pick(), spec.manifest, pick(), spec.manifest};
+        spec.soft_curable = rng.chance(0.5);
+        spec.kind = "repeated";
+      }
+      FailureId got = 0, want = 0;
+      both([&] { got = board.inject(spec, now); },
+           [&] { want = reference.inject(spec, now); });
+      EXPECT_EQ(got, want) << "op " << op;
+    } else if (kind < 14) {
+      const std::string& component = pick();
+      both([&] { board.on_restart_complete(component, now); },
+           [&] { reference.on_restart_complete(component, now); });
+    } else if (kind < 16) {
+      const std::string& component = pick();
+      both([&] { board.on_soft_recovery_complete(component, now); },
+           [&] { reference.on_soft_recovery_complete(component, now); });
+    } else {
+      // A live id when there is one, else (or one time in four) an id that
+      // is cured, cleared or not yet issued.
+      FailureId id = static_cast<FailureId>(rng.uniform_int(0, op + 2));
+      if (!reference.active().empty() && kind < 19) {
+        id = reference.active()[static_cast<std::size_t>(rng.uniform_int(
+                 0, static_cast<std::int64_t>(reference.active().size()) - 1))]
+                 .id;
+      }
+      bool got = false, want = false;
+      both([&] { got = board.clear(id); }, [&] { want = reference.clear(id); });
+      EXPECT_EQ(got, want) << "op " << op << " clear " << id;
+    }
+
+    EXPECT_TRUE(same_failures(injected, reference.injected)) << "op " << op;
+    EXPECT_TRUE(same_failures(cured, reference.cured)) << "op " << op;
+    EXPECT_TRUE(same_failures(board.active(), reference.active())) << "op " << op;
+    for (const std::string& component : pool) {
+      EXPECT_TRUE(same_failures(board.active_at(component),
+                                reference.active_at(component)))
+          << "op " << op << " " << component;
+      EXPECT_EQ(board.manifests_at(component), reference.manifests_at(component))
+          << "op " << op << " " << component;
+    }
+    EXPECT_EQ(board.any_active(), !reference.active().empty()) << "op " << op;
+    EXPECT_EQ(board.active_count(), reference.active().size()) << "op " << op;
+    EXPECT_EQ(board.total_cured(), reference.total_cured()) << "op " << op;
+    EXPECT_EQ(jsonl_of(board_trace), jsonl_of(reference_trace)) << "op " << op;
+
+    injected.clear();
+    reference.injected.clear();
+    cured.clear();
+    reference.cured.clear();
+    board_trace.clear();
+    reference_trace.clear();
+  }
+  EXPECT_GT(board.total_cured(), 1000u);
+}
+
+TEST(FailureBoardFootprint, TwoYearTable1BoardIsCompact) {
+  // bench_table1's untraced run: two simulated years of the Table-1
+  // injector with no repair loop leave ~10^5 never-cured failures on the
+  // board. Each must cost about one 16-byte entry.
+  sim::Simulator sim(42);
+  station::StationConfig config;
+  config.split_fedrcom = false;
+  config.enable_domain_behavior = false;
+  station::Station station(sim, config);
+  station.boot_instant();
+  station::InjectorConfig injector_config;
+  injector_config.suppress_double_faults = false;
+  injector_config.fedr_weibull_shape = 1.0;
+  station::FaultInjector injector(station, injector_config);
+  injector.start();
+  sim.run_for(util::Duration::days(2 * 365.0));
+
+  const FailureBoard& board = station.board();
+  ASSERT_GT(board.active_count(), 100'000u);
+  const double bytes_per_failure = static_cast<double>(board.memory_bytes()) /
+                                   static_cast<double>(board.active_count());
+  RecordProperty("bytes_per_failure", std::to_string(bytes_per_failure));
+  EXPECT_LE(bytes_per_failure, 20.0);
 }
 
 }  // namespace

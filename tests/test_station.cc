@@ -397,7 +397,7 @@ TEST_F(StationTest, InjectorRealizesConfiguredRates) {
   sim_.run_for(Duration::days(10.0));
 
   const double measured =
-      injector.inter_failure_times(names::kFedrcom).mean() / 60.0;
+      injector.mean_inter_failure(names::kFedrcom) / 60.0;
   EXPECT_NEAR(measured, 10.0, 1.0);
   EXPECT_GT(injector.injected(names::kFedrcom), 1000u);
   EXPECT_EQ(injector.total_injected(),
