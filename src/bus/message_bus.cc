@@ -5,6 +5,11 @@
 
 namespace mercury::bus {
 
+namespace {
+/// Message size limit; oversized messages are dropped and counted.
+constexpr std::size_t kMaxWireBytes = 64 * 1024;
+}  // namespace
+
 MessageBus::MessageBus(sim::Simulator& sim, BusConfig config)
     : sim_(sim), config_(config), rng_(sim.rng().fork("mbus")) {}
 
@@ -61,7 +66,7 @@ void MessageBus::send(const msg::Message& message) {
     ++stats_.dropped_bus_down;
     return;
   }
-  if (msg::encode(message).size() > config_.max_wire_bytes) {
+  if (msg::encode(message).size() > kMaxWireBytes) {
     ++stats_.dropped_oversize;
     return;
   }

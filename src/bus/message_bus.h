@@ -36,8 +36,6 @@ struct BusConfig {
   /// One-way delivery latency; jitter is uniform in [0, latency_jitter).
   Duration latency = Duration::millis(3.0);
   Duration latency_jitter = Duration::millis(2.0);
-  /// Message size limit; oversized messages are dropped and counted.
-  std::size_t max_wire_bytes = 64 * 1024;
   /// Independent per-delivery loss probability (a congested or flaky bus).
   /// Mercury's TCP bus is lossless in steady state (0.0), but the
   /// robustness ablation uses this to show why single-miss failure

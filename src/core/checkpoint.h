@@ -116,11 +116,6 @@ struct CheckpointPolicy {
   bool l1_partner = false;
   /// Replicate snapshots to stable file-backed storage.
   bool l2_stable = false;
-  /// Warm reload slowdown per tier, relative to the local copy: fetching
-  /// the replica from the partner / re-reading stable storage costs a
-  /// little more than a local reload, but both remain far below cold.
-  double l1_reload_factor = 1.1;
-  double l2_reload_factor = 1.25;
 
   bool tier_enabled(CheckpointTier tier) const {
     switch (tier) {
@@ -130,11 +125,14 @@ struct CheckpointPolicy {
     }
     return false;
   }
-  double reload_factor(CheckpointTier tier) const {
+  /// Warm reload slowdown per tier, relative to the local copy: fetching
+  /// the replica from the partner / re-reading stable storage costs a
+  /// little more than a local reload, but both remain far below cold.
+  static double reload_factor(CheckpointTier tier) {
     switch (tier) {
       case CheckpointTier::kL0Local: return 1.0;
-      case CheckpointTier::kL1Partner: return l1_reload_factor;
-      case CheckpointTier::kL2Stable: return l2_reload_factor;
+      case CheckpointTier::kL1Partner: return 1.1;
+      case CheckpointTier::kL2Stable: return 1.25;
     }
     return 1.0;
   }

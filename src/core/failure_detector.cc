@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/mercury_trees.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
 namespace mercury::core {
+
+namespace names = component_names;
+
+namespace {
+/// Minimum spacing between repeated reports of the same component.
+constexpr Duration kReportCooldown = Duration::millis(900.0);
+}  // namespace
 
 FailureDetector::FailureDetector(sim::Simulator& sim, bus::MessageBus& bus,
                                  bus::DedicatedLink& link,
@@ -23,7 +31,7 @@ FailureDetector::~FailureDetector() = default;
 
 void FailureDetector::start() {
   reattach();
-  link_.bind(config_.fd_name,
+  link_.bind(names::kFd,
              [this](const msg::Message& message) { on_link_message(message); });
 
   // Stagger the ping loops evenly across the period so detection latency is
@@ -42,7 +50,7 @@ void FailureDetector::start() {
 }
 
 void FailureDetector::reattach() {
-  bus_.attach(config_.fd_name,
+  bus_.attach(names::kFd,
               [this](const msg::Message& message) { on_bus_message(message); });
 }
 
@@ -76,12 +84,12 @@ void FailureDetector::ping(TargetState& target) {
   if (masked_.contains(target.name)) return;
   // While mbus is being restarted nothing is reachable; pinging would only
   // produce a storm of vacuous timeouts.
-  if (masked_.contains(config_.mbus_name)) return;
+  if (masked_.contains(names::kMbus)) return;
   if (target.outstanding_seq != 0) return;  // previous probe still pending
 
   const std::uint64_t seq = seq_++;
   target.outstanding_seq = seq;
-  bus_.send(msg::make_ping(config_.fd_name, target.name, seq));
+  bus_.send(msg::make_ping(names::kFd, target.name, seq));
   ++pings_sent_;
   target.timeout_event = sim_.schedule_after(
       config_.ping_timeout, "fd.timeout:" + target.name, [this, &target, seq] {
@@ -94,7 +102,7 @@ void FailureDetector::on_ping_timeout(TargetState& target) {
   if (!alive_) return;
   if (masked_.contains(target.name)) return;
   // The bus itself is being restarted: universal silence is expected.
-  if (masked_.contains(config_.mbus_name)) return;
+  if (masked_.contains(names::kMbus)) return;
 
   // k-of-n suspicion: tolerate transient message loss by requiring
   // consecutive misses before accusing anyone (the next periodic ping is
@@ -106,8 +114,8 @@ void FailureDetector::on_ping_timeout(TargetState& target) {
   obs::incr("fd.suspicions");
   if (target.consecutive_misses < config_.misses_before_report) return;
 
-  if (target.name == config_.mbus_name) {
-    report(config_.mbus_name);
+  if (target.name == names::kMbus) {
+    report(names::kMbus);
     return;
   }
   // The silence may be the bus, not the component (§2.2: "mbus itself is
@@ -126,7 +134,7 @@ void FailureDetector::begin_mbus_verification(const std::string& pending) {
                                  {{"pending", pending}});
   const std::uint64_t seq = seq_++;
   verify_seq_ = seq;
-  bus_.send(msg::make_ping(config_.fd_name, config_.mbus_name, seq));
+  bus_.send(msg::make_ping(names::kFd, names::kMbus, seq));
   ++pings_sent_;
   verify_timeout_ =
       sim_.schedule_after(config_.mbus_verify_timeout, "fd.verify-mbus",
@@ -152,7 +160,7 @@ void FailureDetector::finish_mbus_verification(bool mbus_alive) {
   if (!alive_) return;
   if (!mbus_alive) {
     // All the pending silences are explained by the dead bus.
-    report(config_.mbus_name);
+    report(names::kMbus);
     return;
   }
   for (const auto& component : pending) report(component);
@@ -163,7 +171,7 @@ void FailureDetector::on_bus_message(const msg::Message& message) {
   if (message.kind != msg::Kind::kPong) return;
   ++pongs_received_;
 
-  if (verifying_mbus_ && message.from == config_.mbus_name &&
+  if (verifying_mbus_ && message.from == names::kMbus &&
       message.seq == verify_seq_) {
     finish_mbus_verification(/*mbus_alive=*/true);
     return;
@@ -186,14 +194,14 @@ void FailureDetector::report(const std::string& component) {
   auto it = targets_.find(component);
   if (it != targets_.end()) {
     TargetState& target = it->second;
-    if (sim_.now() - target.last_report < config_.report_cooldown) return;
+    if (sim_.now() - target.last_report < kReportCooldown) return;
     target.last_report = sim_.now();
   }
   ++failures_reported_;
   obs::instant(sim_.now(), "detect", "fd.report", "fd",
                {{"component", component}});
   obs::incr("fd.reports");
-  msg::Message report = msg::make_command(config_.fd_name, config_.rec_name,
+  msg::Message report = msg::make_command(names::kFd, names::kRec,
                                           seq_++, "report-failure");
   report.body.set_attr("component", component);
   link_.send(report);
@@ -203,11 +211,11 @@ void FailureDetector::on_link_message(const msg::Message& message) {
   // REC pings FD even while FD is crashed — that is how the crash is
   // noticed, so the alive check must precede everything.
   if (message.kind == msg::Kind::kPing) {
-    if (alive_) link_.send(msg::make_pong(message, config_.fd_name));
+    if (alive_) link_.send(msg::make_pong(message, names::kFd));
     return;
   }
   if (message.kind == msg::Kind::kPong) {
-    if (alive_ && message.from == config_.rec_name &&
+    if (alive_ && message.from == names::kRec &&
         message.seq == rec_outstanding_seq_) {
       rec_outstanding_seq_ = 0;
       if (rec_timeout_.valid()) {
@@ -267,7 +275,7 @@ void FailureDetector::ping_rec() {
   if (rec_outstanding_seq_ != 0) return;
   const std::uint64_t seq = seq_++;
   rec_outstanding_seq_ = seq;
-  link_.send(msg::make_ping(config_.fd_name, config_.rec_name, seq));
+  link_.send(msg::make_ping(names::kFd, names::kRec, seq));
   rec_timeout_ = sim_.schedule_after(config_.ping_timeout, "fd.rec-timeout",
                                      [this, seq] {
                                        if (rec_outstanding_seq_ == seq) {

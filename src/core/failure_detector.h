@@ -41,18 +41,12 @@ struct FdConfig {
   Duration ping_timeout = Duration::millis(150.0);
   /// Timeout of the mbus verification probe.
   Duration mbus_verify_timeout = Duration::millis(150.0);
-  /// Minimum spacing between repeated reports of the same component.
-  Duration report_cooldown = Duration::millis(900.0);
   /// Consecutive missed pings before a component is reported. The paper's
   /// FD reports on the first miss (1) — sound over a lossless TCP bus, but
   /// every lost message becomes a spurious restart; 2-3 trades ~one extra
   /// ping period of detection latency for loss tolerance (see the
   /// detection-robustness ablation).
   int misses_before_report = 1;
-  std::string mbus_name = "mbus";
-  /// FD's endpoint name on mbus and on the dedicated link.
-  std::string fd_name = "fd";
-  std::string rec_name = "rec";
 };
 
 class FailureDetector {

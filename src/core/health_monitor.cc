@@ -4,6 +4,14 @@
 
 namespace mercury::core {
 
+namespace {
+/// Queue depth above this requests rejuvenation.
+constexpr double kQueueLimit = 1000.0;
+/// How often deferred requests are re-checked against the maintenance
+/// window.
+constexpr util::Duration kRetryPeriod = util::Duration::seconds(10.0);
+}  // namespace
+
 HealthMonitor::HealthMonitor(sim::Simulator& sim, bus::MessageBus& bus,
                              std::string endpoint, HealthPolicy policy)
     : sim_(sim), bus_(bus), endpoint_(std::move(endpoint)), policy_(policy) {}
@@ -13,7 +21,7 @@ HealthMonitor::~HealthMonitor() = default;
 void HealthMonitor::start() {
   reattach();
   retry_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, "hm.retry", policy_.retry_period, [this] { drain_pending(); });
+      sim_, "hm.retry", kRetryPeriod, [this] { drain_pending(); });
   retry_task_->start();
 }
 
@@ -74,9 +82,9 @@ void HealthMonitor::evaluate(const std::string& component, ComponentState& state
 
   const bool degraded =
       beacon.memory_mb > policy_.memory_limit_mb ||
-      beacon.queue_depth > policy_.queue_limit ||
-      (policy_.act_on_failed_self_check &&
-       (!beacon.connectivity_ok || !beacon.consistency_ok)) ||
+      beacon.queue_depth > kQueueLimit ||
+      // A failed connectivity/consistency self-check acts immediately.
+      !beacon.connectivity_ok || !beacon.consistency_ok ||
       state.consecutive_warning_beacons >= policy_.warning_beacons_before_action;
   if (!degraded) return;
 

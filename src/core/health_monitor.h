@@ -25,17 +25,10 @@ namespace mercury::core {
 struct HealthPolicy {
   /// Memory above this requests rejuvenation.
   double memory_limit_mb = 256.0;
-  /// Queue depth above this requests rejuvenation.
-  double queue_limit = 1000.0;
   /// Consecutive beacons carrying warnings before acting.
   int warning_beacons_before_action = 3;
-  /// A failed connectivity/consistency self-check acts immediately.
-  bool act_on_failed_self_check = true;
   /// Minimum spacing between rejuvenations of the same component.
   util::Duration min_spacing = util::Duration::minutes(5.0);
-  /// How often to re-check deferred requests against the maintenance
-  /// window.
-  util::Duration retry_period = util::Duration::seconds(10.0);
 };
 
 class HealthMonitor {
@@ -56,7 +49,7 @@ class HealthMonitor {
   /// Action to take when a component needs rejuvenation (typically
   /// Recoverer::planned_restart). Returns whether the restart was accepted;
   /// a refusal (recovery already in progress) is retried on the next
-  /// retry_period tick.
+  /// retry tick (every 10 s).
   void set_rejuvenator(std::function<bool(const std::string&)> rejuvenator);
 
   /// Gate: planned restarts only run when this returns true (e.g. "no

@@ -4,12 +4,24 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/mercury_trees.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
 namespace mercury::core {
 
+namespace names = component_names;
 using util::Duration;
+
+namespace {
+/// How long uncured-root-restart counts accumulate per component: a
+/// component whose failures outlive max_root_restarts root restarts, each
+/// within this window of the last, is parked.
+constexpr Duration kRootRetryWindow = Duration::seconds(90.0);
+/// REC's watch over FD (§2.2): ping period and pong timeout.
+constexpr Duration kFdPingPeriod = Duration::seconds(1.0);
+constexpr Duration kFdPingTimeout = Duration::millis(300.0);
+}  // namespace
 
 const char* to_string(DispatchMode mode) {
   switch (mode) {
@@ -35,7 +47,7 @@ Recoverer::Recoverer(sim::Simulator& sim, bus::DedicatedLink& link,
 Recoverer::~Recoverer() = default;
 
 void Recoverer::start() {
-  link_.bind(config_.rec_name,
+  link_.bind(names::kRec,
              [this](const msg::Message& message) { on_link_message(message); });
 }
 
@@ -59,11 +71,11 @@ void Recoverer::restart_complete() {
 
 void Recoverer::on_link_message(const msg::Message& message) {
   if (message.kind == msg::Kind::kPing) {
-    if (alive_) link_.send(msg::make_pong(message, config_.rec_name));
+    if (alive_) link_.send(msg::make_pong(message, names::kRec));
     return;
   }
   if (message.kind == msg::Kind::kPong) {
-    if (alive_ && message.from == config_.fd_name &&
+    if (alive_ && message.from == names::kFd &&
         message.seq == fd_outstanding_seq_) {
       fd_outstanding_seq_ = 0;
       if (fd_timeout_.valid()) {
@@ -322,7 +334,7 @@ bool Recoverer::note_root_restart_then_maybe_park(
   // unrelated crash landing just after a reboot must not get an innocent
   // component parked (it merely rides the escalation).
   RootRestartHistory& history = root_history_[component];
-  if (sim_.now() - history.last < config_.root_retry_window) {
+  if (sim_.now() - history.last < kRootRetryWindow) {
     ++history.count;
   } else {
     history.count = 1;
@@ -805,7 +817,7 @@ void Recoverer::send_mask(const std::vector<std::string>& components, bool mask)
   const std::string joined = util::join(effective, ",");
   obs::instant(sim_.now(), "recover", mask ? "rec.mask" : "rec.unmask", "rec",
                {{"components", joined}});
-  msg::Message command = msg::make_command(config_.rec_name, config_.fd_name,
+  msg::Message command = msg::make_command(names::kRec, names::kFd,
                                            seq_++, mask ? "mask" : "unmask");
   command.body.set_attr("components", joined);
   link_.send(command);
@@ -817,7 +829,7 @@ void Recoverer::set_fd_restarter(std::function<void()> restarter) {
 
 void Recoverer::monitor_fd() {
   fd_loop_ = std::make_unique<sim::PeriodicTask>(
-      sim_, "rec.ping-fd", config_.fd_ping_period, [this] { ping_fd(); });
+      sim_, "rec.ping-fd", kFdPingPeriod, [this] { ping_fd(); });
   fd_loop_->start();
 }
 
@@ -827,8 +839,8 @@ void Recoverer::ping_fd() {
   if (fd_outstanding_seq_ != 0) return;
   const std::uint64_t seq = seq_++;
   fd_outstanding_seq_ = seq;
-  link_.send(msg::make_ping(config_.rec_name, config_.fd_name, seq));
-  fd_timeout_ = sim_.schedule_after(config_.fd_ping_timeout, "rec.fd-timeout",
+  link_.send(msg::make_ping(names::kRec, names::kFd, seq));
+  fd_timeout_ = sim_.schedule_after(kFdPingTimeout, "rec.fd-timeout",
                                     [this, seq] {
                                       if (fd_outstanding_seq_ == seq) {
                                         fd_outstanding_seq_ = 0;
@@ -843,7 +855,7 @@ void Recoverer::on_fd_timeout() {
   obs::incr("rec.fd_restarts");
   fd_restart_in_flight_ = true;
   fd_restarter_();
-  sim_.schedule_after(config_.fd_ping_period * 5.0, "rec.fd-grace",
+  sim_.schedule_after(kFdPingPeriod * 5.0, "rec.fd-grace",
                       [this] { fd_restart_in_flight_ = false; });
 }
 

@@ -99,16 +99,9 @@ struct RecConfig {
   /// redetect round when it is not. Requires ProcessControl support.
   bool enable_soft_recovery = false;
   /// Full-system restarts tolerated per recurring component failure before
-  /// declaring a hard failure.
+  /// declaring a hard failure. Uncured root restarts of a component count
+  /// toward it while each follows the previous one within 90 s.
   int max_root_restarts = 2;
-  /// How long uncured-root-restart counts accumulate per component; a
-  /// component whose failures outlive this many root restarts inside the
-  /// window is parked.
-  util::Duration root_retry_window = util::Duration::seconds(90.0);
-  util::Duration fd_ping_period = util::Duration::seconds(1.0);
-  util::Duration fd_ping_timeout = util::Duration::millis(300.0);
-  std::string fd_name = "fd";
-  std::string rec_name = "rec";
 
   /// Restart-DAG scheduling of non-interfering cells. kSerial reproduces
   /// the paper's one-chain-at-a-time recoverer exactly; the DAG modes

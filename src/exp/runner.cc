@@ -38,11 +38,12 @@ void ExperimentRunner::run(std::size_t trials,
                            const std::function<void(TrialContext&)>& body) {
   if (trials == 0) return;
 
-  // Capture only when the launching thread has a recorder to merge into;
-  // with tracing globally off (MERCURY_TRACE=0) trials skip the per-trial
-  // recorders entirely and emit sites stay single-pointer-compare cheap.
+  // Capture per-trial traces and merge them (index order) into the recorder
+  // installed on the launching thread, when there is one; with tracing
+  // globally off (MERCURY_TRACE=0) trials skip the per-trial recorders
+  // entirely and emit sites stay single-pointer-compare cheap.
   obs::TraceRecorder* ambient = obs::recorder();
-  const bool capture = config_.capture_traces && ambient != nullptr;
+  const bool capture = ambient != nullptr;
 
   const SeedStream seeds(config_.master_seed);
   std::vector<std::unique_ptr<obs::TraceRecorder>> captures(
@@ -56,8 +57,7 @@ void ExperimentRunner::run(std::size_t trials,
                                         : static_cast<std::uint64_t>(index);
     try {
       if (capture) {
-        auto recorder =
-            std::make_unique<obs::TraceRecorder>(config_.max_events_per_trial);
+        auto recorder = std::make_unique<obs::TraceRecorder>();
         obs::ScopedRecorder scope(*recorder);
         ctx.recorder = recorder.get();
         body(ctx);

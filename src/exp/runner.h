@@ -50,8 +50,8 @@ struct TrialContext {
   /// per-trial inputs carry their own seeds.
   std::uint64_t seed = 0;
   /// This trial's private recorder, or nullptr when capture is off (no
-  /// ambient recorder installed on the launching thread, or capture
-  /// disabled). Safe to inspect inside the body: events of this trial only.
+  /// ambient recorder installed on the launching thread). Safe to inspect
+  /// inside the body: events of this trial only.
   obs::TraceRecorder* recorder = nullptr;
 };
 
@@ -61,12 +61,6 @@ struct RunnerConfig {
   /// Derive ctx.seed = SeedStream(master_seed).trial_seed(index) when
   /// nonzero; otherwise ctx.seed = index.
   std::uint64_t master_seed = 0;
-  /// Capture per-trial traces and merge them (index order) into the
-  /// recorder installed on the launching thread. With capture off, trials
-  /// under jobs>1 record nothing (worker threads have no recorder).
-  bool capture_traces = true;
-  /// Event cap per trial recorder.
-  std::size_t max_events_per_trial = obs::TraceRecorder::kDefaultMaxEvents;
 };
 
 /// Positive value of $MERCURY_JOBS, or 0 when unset/invalid.

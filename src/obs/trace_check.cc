@@ -14,6 +14,11 @@ namespace mercury::obs {
 
 namespace {
 
+/// Phase-sum tolerance: 1% of the measured recovery (|err| / measured),
+/// floored at 1 us for near-zero recoveries.
+constexpr double kPhaseTolerance = 0.01;
+constexpr double kPhaseSlackSeconds = 1e-6;
+
 /// The labels the checker matches on, interned once.
 struct Names {
   Label sim{"sim"}, trial_start{"trial.start"}, trial_recovered{"trial.recovered"};
@@ -330,7 +335,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
     const double measured = *facts.reported_recovery;
     const double slack =
-        std::max(options.phase_slack_seconds, options.phase_tolerance * measured);
+        std::max(kPhaseSlackSeconds, kPhaseTolerance * measured);
 
     // Actions completing after the recovered instant are post-recovery work
     // (planned rejuvenation in the trial's settle window), not part of the

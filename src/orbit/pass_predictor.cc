@@ -8,6 +8,11 @@ namespace {
 using util::Duration;
 using util::TimePoint;
 
+/// Coarse scan step; must be well below the pass duration (~minutes).
+constexpr Duration kCoarseStep = Duration::seconds(30.0);
+/// Bisection refinement tolerance on AOS/LOS times.
+constexpr Duration kRefineTolerance = Duration::millis(50.0);
+
 /// Bisect for the visibility transition in (lo, hi]; `rising` selects which
 /// crossing. Precondition: visible(lo) != visible(hi).
 TimePoint refine_crossing(const GroundStation& station, const Propagator& satellite,
@@ -58,7 +63,7 @@ void find_max_elevation(const GroundStation& station, const Propagator& satellit
 
 std::vector<Pass> predict_passes(const GroundStation& station,
                                  const Propagator& satellite, TimePoint start,
-                                 TimePoint end, const PassPredictionConfig& config) {
+                                 TimePoint end) {
   assert(end > start);
   std::vector<Pass> passes;
 
@@ -67,12 +72,12 @@ std::vector<Pass> predict_passes(const GroundStation& station,
   TimePoint aos = start;  // valid only while inside a pass
   bool in_pass = was_visible;
 
-  for (TimePoint t = start + config.coarse_step;; t += config.coarse_step) {
+  for (TimePoint t = start + kCoarseStep;; t += kCoarseStep) {
     if (t > end) t = end;
     const bool now_visible = station.visible(satellite, t);
     if (now_visible != was_visible) {
-      const TimePoint crossing = refine_crossing(station, satellite, prev, t,
-                                                 config.refine_tolerance);
+      const TimePoint crossing =
+          refine_crossing(station, satellite, prev, t, kRefineTolerance);
       if (now_visible) {
         aos = crossing;
         in_pass = true;

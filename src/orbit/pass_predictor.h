@@ -24,17 +24,10 @@ struct Pass {
   util::Duration duration() const { return los - aos; }
 };
 
-struct PassPredictionConfig {
-  /// Coarse scan step; must be well below the pass duration (~minutes).
-  util::Duration coarse_step = util::Duration::seconds(30.0);
-  /// Bisection refinement tolerance on AOS/LOS times.
-  util::Duration refine_tolerance = util::Duration::millis(50.0);
-};
-
-/// All passes of `satellite` over `station` in [start, end).
+/// All passes of `satellite` over `station` in [start, end): a 30 s coarse
+/// scan, with AOS/LOS refined by bisection to 50 ms.
 std::vector<Pass> predict_passes(const GroundStation& station,
                                  const Propagator& satellite,
-                                 util::TimePoint start, util::TimePoint end,
-                                 const PassPredictionConfig& config = {});
+                                 util::TimePoint start, util::TimePoint end);
 
 }  // namespace mercury::orbit

@@ -11,18 +11,23 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/mercury_trees.h"
 #include "obs/trace.h"
 #include "posix/checkpoint_file.h"
 #include "util/strings.h"
 
 namespace mercury::posix {
 
+namespace names = core::component_names;
 using util::Error;
 using util::Status;
 
 namespace {
 
 const Clock::time_point kProcessStart = Clock::now();
+
+/// Minimum spacing between proactive restarts of the same worker.
+constexpr Millis kRejuvenationSpacing{2'000};
 
 /// Trace timestamps on this backend are wall-clock seconds since process
 /// start. The timer heap runs on this clock too.
@@ -42,7 +47,7 @@ PosixSupervisor::PosixSupervisor(core::RestartTree tree,
                                  std::vector<WorkerSpec> workers,
                                  SupervisorConfig config)
     : config_(std::move(config)),
-      link_(sim_, config_.fd_name, config_.rec_name, util::Duration::zero()),
+      link_(sim_, names::kFd, names::kRec, util::Duration::zero()),
       rec_(sim_, link_, std::move(tree), oracle_, *this, config_) {
   for (auto& spec : workers) {
     Worker worker;
@@ -57,7 +62,7 @@ PosixSupervisor::PosixSupervisor(core::RestartTree tree,
     assert(workers_.contains(component) && "tree component without a worker");
     (void)component;
   }
-  link_.bind(config_.fd_name,
+  link_.bind(names::kFd,
              [this](const msg::Message& message) { on_link_message(message); });
   rec_.start();
 }
@@ -324,7 +329,7 @@ void PosixSupervisor::report(Worker& worker, const char* cause) {
                {{"component", name}, {"cause", cause}});
   obs::incr("fd.reports");
   reported_.insert(name);
-  msg::Message message = msg::make_command(config_.fd_name, config_.rec_name,
+  msg::Message message = msg::make_command(names::kFd, names::kRec,
                                            seq_++, "report-failure");
   message.body.set_attr("component", name);
   link_.send(message);
@@ -361,7 +366,7 @@ void PosixSupervisor::check_health_policy() {
   for (auto& [name, worker] : workers_) {
     if (worker.state != WorkerState::kUp) continue;
     if (!worker.memory_mb || *worker.memory_mb <= config_.memory_limit_mb) continue;
-    if (now - worker.last_rejuvenation < config_.rejuvenation_spacing) continue;
+    if (now - worker.last_rejuvenation < kRejuvenationSpacing) continue;
     const double memory_mb = *worker.memory_mb;
     // REC declines while interfering reactive work is in flight.
     if (!rec_.planned_restart(name)) continue;

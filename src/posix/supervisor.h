@@ -59,8 +59,9 @@ struct WorkerSpec {
   /// Checkpoint state file, empty = no checkpointing. Must match the
   /// worker's --checkpoint-file. The supervisor validates the file's
   /// checksum before every spawn and deletes it when invalid, so the worker
-  /// never warm-starts from garbage.
-  std::string checkpoint_file;
+  /// never warm-starts from garbage. Defaulted so a spec that omits it
+  /// (`{name, argv}`) builds warning-free.
+  std::string checkpoint_file = {};
 };
 
 /// REC's policy knobs (escalation window, root/attempt budgets, backoff,
@@ -78,9 +79,8 @@ struct SupervisorConfig : core::RecConfig {
   /// §7 health beacons over the pipes: when a worker's reported memory
   /// ("HEALTH <name> mem=<MB>" lines) exceeds this, it is proactively
   /// restarted through Recoverer::planned_restart. 0 disables the policy.
+  /// Proactive restarts of one worker are spaced at least 2 s apart.
   double memory_limit_mb = 0.0;
-  /// Minimum spacing between proactive restarts of the same worker.
-  Millis rejuvenation_spacing{2'000};
 };
 
 struct PosixRecoveryRecord {

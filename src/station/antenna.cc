@@ -7,11 +7,6 @@
 
 namespace mercury::station {
 
-Antenna::Antenna(AntennaConfig config) : config_(config) {
-  az_ = target_az_ = config_.park_azimuth_deg;
-  el_ = target_el_ = config_.park_elevation_deg;
-}
-
 void Antenna::point(double azimuth_deg, double elevation_deg, util::TimePoint now) {
   settle(now);
   target_az_ = azimuth_deg;
@@ -19,7 +14,7 @@ void Antenna::point(double azimuth_deg, double elevation_deg, util::TimePoint no
 }
 
 void Antenna::park(util::TimePoint now) {
-  point(config_.park_azimuth_deg, config_.park_elevation_deg, now);
+  point(kParkAzimuthDeg, kParkElevationDeg, now);
 }
 
 double Antenna::step_toward(double from, double to, double max_step,
@@ -43,7 +38,7 @@ void Antenna::settle(util::TimePoint now) const {
   const double dt = (now - last_update_).to_seconds();
   last_update_ = now;
   if (dt <= 0.0) return;
-  const double max_step = config_.max_slew_deg_per_sec * dt;
+  const double max_step = kMaxSlewDegPerSec * dt;
   az_ = step_toward(az_, target_az_, max_step, /*wrap_azimuth=*/true);
   el_ = step_toward(el_, target_el_, max_step, /*wrap_azimuth=*/false);
 }

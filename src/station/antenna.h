@@ -9,19 +9,10 @@
 
 namespace mercury::station {
 
-struct AntennaConfig {
-  double max_slew_deg_per_sec = 6.0;
-  /// Park position when idle.
-  double park_azimuth_deg = 0.0;
-  double park_elevation_deg = 90.0;
-};
-
 class Antenna {
  public:
-  explicit Antenna(AntennaConfig config = {});
-
   /// Command a new target; actual position keeps slewing toward the most
-  /// recent target at the configured rate.
+  /// recent target at the slew limit.
   void point(double azimuth_deg, double elevation_deg, util::TimePoint now);
 
   /// Command the park position.
@@ -42,11 +33,16 @@ class Antenna {
   static double step_toward(double from, double to, double max_step,
                             bool wrap_azimuth);
 
-  AntennaConfig config_;
-  mutable double az_ = 0.0;
-  mutable double el_ = 90.0;
-  double target_az_ = 0.0;
-  double target_el_ = 90.0;
+  /// Slew rate limit on both axes.
+  static constexpr double kMaxSlewDegPerSec = 6.0;
+  /// Park position when idle (the pedestal starts there).
+  static constexpr double kParkAzimuthDeg = 0.0;
+  static constexpr double kParkElevationDeg = 90.0;
+
+  mutable double az_ = kParkAzimuthDeg;
+  mutable double el_ = kParkElevationDeg;
+  double target_az_ = kParkAzimuthDeg;
+  double target_el_ = kParkElevationDeg;
   mutable util::TimePoint last_update_;
 };
 

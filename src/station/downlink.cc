@@ -4,9 +4,19 @@ namespace mercury::station {
 
 using util::Duration;
 
-DownlinkSession::DownlinkSession(Station& station, orbit::Pass pass,
-                                 DownlinkConfig config)
-    : station_(station), config_(config) {
+namespace {
+/// Link data rate, bits per second ("up to 38.4 kbps", §2.1).
+constexpr double kDataRateBps = 38'400.0;
+/// An outage this long breaks the communication link; the rest of the
+/// session is unrecoverable (re-acquisition is not attempted within the
+/// pass).
+constexpr Duration kLinkBreakThreshold = Duration::seconds(15.0);
+/// Sampling resolution of the link state.
+constexpr Duration kSamplePeriod = Duration::millis(250.0);
+}  // namespace
+
+DownlinkSession::DownlinkSession(Station& station, orbit::Pass pass)
+    : station_(station) {
   report_.pass = pass;
 }
 
@@ -14,7 +24,7 @@ DownlinkSession::~DownlinkSession() = default;
 
 void DownlinkSession::start() {
   sampler_ = std::make_unique<sim::PeriodicTask>(
-      station_.sim(), "downlink.sample", config_.sample_period,
+      station_.sim(), "downlink.sample", kSamplePeriod,
       [this] { sample(); });
   sampler_->start();
 }
@@ -31,23 +41,23 @@ void DownlinkSession::sample() {
     return;
   }
 
-  const double dt = config_.sample_period.to_seconds();
-  report_.offered_bits += config_.data_rate_bps * dt;
+  const double dt = kSamplePeriod.to_seconds();
+  report_.offered_bits += kDataRateBps * dt;
   if (report_.link_broken) return;
 
   if (station_.all_functional()) {
-    report_.captured_bits += config_.data_rate_bps * dt;
+    report_.captured_bits += kDataRateBps * dt;
     current_outage_ = Duration::zero();
     return;
   }
 
   // Station down mid-pass: the stream pauses; a long outage breaks lock.
-  current_outage_ += config_.sample_period;
-  report_.outage += config_.sample_period;
+  current_outage_ += kSamplePeriod;
+  report_.outage += kSamplePeriod;
   if (current_outage_ > report_.longest_outage) {
     report_.longest_outage = current_outage_;
   }
-  if (current_outage_ >= config_.link_break_threshold) {
+  if (current_outage_ >= kLinkBreakThreshold) {
     report_.link_broken = true;
   }
 }

@@ -11,8 +11,8 @@
 // A DownlinkSession runs for the duration of one pass. While the station is
 // functional and the satellite visible, science data accumulates at the
 // link rate (38.4 kbps, §2.1). A station outage pauses the stream; an
-// outage longer than `link_break_threshold` breaks carrier lock and the
-// remainder of the session is lost.
+// outage of 15 s breaks carrier lock and the remainder of the session is
+// lost.
 #pragma once
 
 #include <cstdint>
@@ -23,17 +23,6 @@
 #include "util/time.h"
 
 namespace mercury::station {
-
-struct DownlinkConfig {
-  /// Link data rate, bits per second ("up to 38.4 kbps", §2.1).
-  double data_rate_bps = 38'400.0;
-  /// An outage longer than this breaks the communication link; the rest of
-  /// the session is unrecoverable (re-acquisition is not attempted within
-  /// the pass).
-  util::Duration link_break_threshold = util::Duration::seconds(15.0);
-  /// Sampling resolution of the link state.
-  util::Duration sample_period = util::Duration::millis(250.0);
-};
 
 /// Outcome of one pass.
 struct SessionReport {
@@ -55,7 +44,7 @@ struct SessionReport {
 /// task; no component behaviour is altered.
 class DownlinkSession {
  public:
-  DownlinkSession(Station& station, orbit::Pass pass, DownlinkConfig config = {});
+  DownlinkSession(Station& station, orbit::Pass pass);
   ~DownlinkSession();
 
   DownlinkSession(const DownlinkSession&) = delete;
@@ -71,7 +60,6 @@ class DownlinkSession {
   void sample();
 
   Station& station_;
-  DownlinkConfig config_;
   SessionReport report_;
   std::unique_ptr<sim::PeriodicTask> sampler_;
   util::Duration current_outage_ = util::Duration::zero();

@@ -71,7 +71,7 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
         core::choose_partners(core::make_mercury_tree(spec.tree)));
   }
 
-  link_ = std::make_unique<bus::DedicatedLink>(sim_, "fd", "rec",
+  link_ = std::make_unique<bus::DedicatedLink>(sim_, names::kFd, names::kRec,
                                                spec.cal.link_latency);
 
   // Oracle stack.
@@ -90,8 +90,7 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
       case OracleKind::kFaultyPerfect:
         perfect_oracle_ = std::make_unique<core::PerfectOracle>(station_->board());
         owned_oracle_ = std::make_unique<core::FaultyOracle>(
-            *perfect_oracle_, sim_.rng().fork("faulty-oracle"), spec.faulty_p_low,
-            spec.faulty_p_high);
+            *perfect_oracle_, sim_.rng().fork("faulty-oracle"), spec.faulty_p_low);
         active_oracle_ = owned_oracle_.get();
         break;
       case OracleKind::kLearning: {
@@ -153,9 +152,6 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
     wl.command_sessions = spec.traffic.command_sessions;
     wl.telemetry_sessions = spec.traffic.telemetry_sessions;
     wl.mean_interarrival = spec.traffic.mean_interarrival;
-    wl.request_timeout = spec.traffic.request_timeout;
-    wl.retry_backoff = spec.traffic.retry_backoff;
-    wl.max_attempts = spec.traffic.max_attempts;
     wl.seed = spec.seed;
     wl.trace_requests = spec.traffic.trace_requests;
     wl.mode_label = spec.traffic_driven &&
@@ -233,36 +229,29 @@ TrialResult run_trial(const TrialSpec& spec) {
       break;
   }
 
-  // Checkpoint damage rides along with the failure (ISSUE 3, per-tier by
-  // ISSUE 7): whatever killed the component may have trashed its snapshot
-  // too — in any combination of tiers.
+  // Checkpoint damage rides along with the failure: whatever
+  // killed the component may have trashed its local (L0) snapshot too.
   const std::string& victim = spec.mode == FailureMode::kJointFedrPbcom
                                   ? names::kPbcom
                                   : spec.fail_component;
-  const auto apply_damage = [&](TrialSpec::CheckpointDamage damage,
-                                core::CheckpointTier tier) {
-    switch (damage) {
-      case TrialSpec::CheckpointDamage::kNone:
-        break;
-      case TrialSpec::CheckpointDamage::kCorrupt:
-        rig.station().checkpoints().corrupt(victim, tier);
-        break;
-      case TrialSpec::CheckpointDamage::kPoison:
-        rig.station().checkpoints().poison(victim, tier);
-        break;
-      case TrialSpec::CheckpointDamage::kStale:
-        rig.station().checkpoints().stale_date(
-            victim, tier,
-            injected_at - spec.checkpoint_ttl - Duration::seconds(1.0));
-        break;
-      case TrialSpec::CheckpointDamage::kKill:
-        rig.station().checkpoints().discard_tier(victim, tier);
-        break;
-    }
-  };
-  apply_damage(spec.checkpoint_damage, core::CheckpointTier::kL0Local);
-  apply_damage(spec.checkpoint_l1_damage, core::CheckpointTier::kL1Partner);
-  apply_damage(spec.checkpoint_l2_damage, core::CheckpointTier::kL2Stable);
+  constexpr core::CheckpointTier kL0 = core::CheckpointTier::kL0Local;
+  switch (spec.checkpoint_damage) {
+    case TrialSpec::CheckpointDamage::kNone:
+      break;
+    case TrialSpec::CheckpointDamage::kCorrupt:
+      rig.station().checkpoints().corrupt(victim, kL0);
+      break;
+    case TrialSpec::CheckpointDamage::kPoison:
+      rig.station().checkpoints().poison(victim, kL0);
+      break;
+    case TrialSpec::CheckpointDamage::kStale:
+      rig.station().checkpoints().stale_date(
+          victim, kL0, injected_at - spec.checkpoint_ttl - Duration::seconds(1.0));
+      break;
+    case TrialSpec::CheckpointDamage::kKill:
+      rig.station().checkpoints().discard_tier(victim, kL0);
+      break;
+  }
 
   // Correlated partner loss: the same fault event fells the victim's L1
   // replica host; the station's host-down listener drops its replicas.

@@ -54,7 +54,6 @@ struct TrialSpec {
   core::MercuryTree tree = core::MercuryTree::kTreeIV;
   OracleKind oracle = OracleKind::kPerfect;
   double faulty_p_low = 0.3;
-  double faulty_p_high = 0.0;
   std::string fail_component;
   FailureMode mode = FailureMode::kCrash;
   std::uint64_t seed = 1;
@@ -102,7 +101,7 @@ struct TrialSpec {
   /// (kPoison needs harden_restart_path: the warm attempt crashes and only
   /// the restart deadline notices; kKill drops the tier's copy outright).
   enum class CheckpointDamage { kNone, kCorrupt, kPoison, kStale, kKill };
-  /// Targets the victim's *local* (L0) snapshot (legacy knob).
+  /// Targets the victim's *local* (L0) snapshot.
   CheckpointDamage checkpoint_damage = CheckpointDamage::kNone;
 
   // --- Tiered checkpoint storage (ISSUE 7) --------------------------------
@@ -112,10 +111,6 @@ struct TrialSpec {
   bool checkpoint_l1 = false;
   /// Enable the stable file-backed (L2) tier.
   bool checkpoint_l2 = false;
-  /// Damage applied to the victim's partner-replica / stable copies at
-  /// injection time (same semantics as checkpoint_damage).
-  CheckpointDamage checkpoint_l1_damage = CheckpointDamage::kNone;
-  CheckpointDamage checkpoint_l2_damage = CheckpointDamage::kNone;
   /// Correlated failure: the injected fault also crashes the victim's L1
   /// replica host (whole-group / coupled-component loss) — the replica dies
   /// with its host, leaving only L2 between the victim and a cold start.
@@ -147,9 +142,6 @@ struct TrialSpec {
     int command_sessions = 8;
     int telemetry_sessions = 4;
     util::Duration mean_interarrival = util::Duration::millis(200.0);
-    util::Duration request_timeout = util::Duration::millis(400.0);
-    util::Duration retry_backoff = util::Duration::millis(100.0);
-    int max_attempts = 4;
     /// Emit per-request "traffic.request" spans (checker-gated trials).
     bool trace_requests = false;
     /// Render the deterministic per-request outcome log onto the result

@@ -1,7 +1,6 @@
 #include "station/fault_injector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/failure.h"
@@ -37,16 +36,6 @@ FaultInjector::FaultInjector(Station& station, InjectorConfig config)
 
 void FaultInjector::start() {
   fedr_last_restart_ = station_.sim().now();
-  if (config_.restart_faults.active()) {
-    for (const auto& name : station_.component_names()) {
-      if (std::find(config_.restart_fault_exempt.begin(),
-                    config_.restart_fault_exempt.end(),
-                    name) != config_.restart_fault_exempt.end()) {
-        continue;
-      }
-      station_.set_restart_faults(name, config_.restart_faults);
-    }
-  }
   for (auto& [name, source] : sources_) schedule_next(source);
 }
 
@@ -101,61 +90,6 @@ void FaultInjector::fire(Source& source) {
     spec = core::make_crash(source.component);
   }
   station_.board().inject(std::move(spec), now);
-
-  // Checkpoint damage (ISSUE 3): the crash may have trashed the victim's
-  // snapshot too. Draws only happen when damage is configured, so legacy
-  // runs consume no extra randomness. The legacy knobs target the local
-  // (L0) snapshot.
-  if (config_.damages_checkpoints()) {
-    if (rng_.chance(config_.checkpoint_corrupt_prob)) {
-      station_.checkpoints().corrupt(source.component,
-                                     core::CheckpointTier::kL0Local);
-    } else if (rng_.chance(config_.checkpoint_poison_prob)) {
-      station_.checkpoints().poison(source.component,
-                                    core::CheckpointTier::kL0Local);
-    } else if (rng_.chance(config_.checkpoint_stale_prob)) {
-      station_.checkpoints().stale_date(
-          source.component, core::CheckpointTier::kL0Local,
-          now - station_.config().checkpoints.ttl - Duration::seconds(1.0));
-    }
-  }
-
-  // Per-tier checkpoint damage (ISSUE 7): tiers roll independently (one
-  // fault can take several at once), first hit wins within a tier. Zero
-  // probabilities draw nothing, so configurations without tier damage stay
-  // byte-identical.
-  if (config_.damages_tiers()) {
-    for (std::size_t i = 0; i < core::kCheckpointTierCount; ++i) {
-      const auto tier = static_cast<core::CheckpointTier>(i);
-      const InjectorConfig::TierDamageProbs& probs = config_.tier_damage[i];
-      if (!probs.active()) continue;
-      if (probs.kill > 0.0 && rng_.chance(probs.kill)) {
-        station_.checkpoints().discard_tier(source.component, tier);
-      } else if (probs.corrupt > 0.0 && rng_.chance(probs.corrupt)) {
-        station_.checkpoints().corrupt(source.component, tier);
-      } else if (probs.poison > 0.0 && rng_.chance(probs.poison)) {
-        station_.checkpoints().poison(source.component, tier);
-      } else if (probs.stale > 0.0 && rng_.chance(probs.stale)) {
-        station_.checkpoints().stale_date(
-            source.component, tier,
-            now - station_.config().checkpoints.ttl - Duration::seconds(1.0));
-      }
-    }
-  }
-
-  // Correlated partner loss (ISSUE 7): the same fault event fells the
-  // victim's L1 replica host too. The station's host-down listener drops
-  // every replica the partner held.
-  if (config_.partner_down_prob > 0.0 &&
-      rng_.chance(config_.partner_down_prob)) {
-    const std::string& partner =
-        station_.checkpoints().partner_of(source.component);
-    if (!partner.empty() && !station_.board().manifests_at(partner) &&
-        station_.component(partner) != nullptr &&
-        !station_.component(partner)->restarting()) {
-      station_.board().inject(core::make_crash(partner), now);
-    }
-  }
 
   ++source.injected;
   if (source.has_failed_before) {

@@ -12,12 +12,9 @@
 // ablation, and the rejuvenation ablation.
 #pragma once
 
-#include <array>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "core/checkpoint.h"
 #include "core/failure.h"
 #include "station/station.h"
 #include "util/rng.h"
@@ -35,61 +32,6 @@ struct InjectorConfig {
   /// Only inject into components that currently have no manifesting
   /// failure (a dead component cannot fail again).
   bool suppress_double_faults = true;
-  /// Restart-time fault mix (ISSUE 2) installed on every non-exempt
-  /// component at start(): each startup attempt hangs or crashes with
-  /// these probabilities. Inactive (all zero) by default — clean restarts.
-  core::RestartFaultSpec restart_faults;
-  /// Components exempt from the restart-fault mix. mbus is exempt by
-  /// default: a parked bus is total loss, not degraded operation, and the
-  /// availability ablations want the degraded regime.
-  std::vector<std::string> restart_fault_exempt = {"mbus"};
-
-  // --- Checkpoint damage (ISSUE 3) ----------------------------------------
-  // Whatever crashed a component may have trashed its saved snapshot too.
-  // Rolled per injected failure, in this order (first hit wins). These
-  // legacy knobs target the victim's *local* (L0) snapshot:
-  /// detectably corrupt the victim's checkpoint (checksum mismatch; the
-  /// restart validates, deletes, and runs cold),
-  double checkpoint_corrupt_prob = 0.0;
-  /// undetectably poison it (checksum recomputed; the warm attempt crashes
-  /// mid-startup — a restart-path fault for the hardened recoverer),
-  double checkpoint_poison_prob = 0.0;
-  /// or backdate it beyond the station's TTL (stale; cold fallback).
-  double checkpoint_stale_prob = 0.0;
-
-  bool damages_checkpoints() const {
-    return checkpoint_corrupt_prob > 0.0 || checkpoint_poison_prob > 0.0 ||
-           checkpoint_stale_prob > 0.0;
-  }
-
-  // --- Per-tier checkpoint damage (ISSUE 7) -------------------------------
-  /// Damage probabilities for one checkpoint tier of the victim, rolled per
-  /// injected failure, first hit wins within the tier: kill (the tier's
-  /// copy vanishes outright), corrupt (detectable), poison (undetectable),
-  /// stale (backdated beyond TTL). Tiers roll independently, so one fault
-  /// can take several tiers at once — the correlated-loss case.
-  struct TierDamageProbs {
-    double kill = 0.0;
-    double corrupt = 0.0;
-    double poison = 0.0;
-    double stale = 0.0;
-    bool active() const {
-      return kill > 0.0 || corrupt > 0.0 || poison > 0.0 || stale > 0.0;
-    }
-  };
-  /// Indexed by core::CheckpointTier (L0, L1, L2).
-  std::array<TierDamageProbs, core::kCheckpointTierCount> tier_damage{};
-  /// Correlated partner failure: with this probability the background fault
-  /// also crashes the victim's L1 replica host (ses↔str-style coupling) —
-  /// the replica dies with it, leaving only stable storage above cold.
-  double partner_down_prob = 0.0;
-
-  bool damages_tiers() const {
-    for (const TierDamageProbs& probs : tier_damage) {
-      if (probs.active()) return true;
-    }
-    return false;
-  }
 };
 
 class FaultInjector {

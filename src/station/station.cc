@@ -11,8 +11,7 @@ namespace names = core::component_names;
 Station::Station(sim::Simulator& sim, StationConfig config)
     : sim_(sim),
       config_(std::move(config)),
-      serial_port_(radio_),
-      satellite_(config_.satellite) {
+      serial_port_(radio_) {
   bus_ = std::make_unique<bus::MessageBus>(sim_, config_.bus);
   sync_ = std::make_unique<SyncCoordinator>(*this, names::kSes, names::kStr);
   checkpoints_.configure(config_.checkpoints);

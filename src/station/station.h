@@ -37,10 +37,6 @@ struct StationConfig {
   /// fault-injection runs where only the recovery machinery matters.
   bool enable_domain_behavior = true;
   Calibration cal = default_calibration();
-  /// The satellite being tracked (default: a Sapphire-like circular LEO).
-  orbit::KeplerianElements satellite =
-      orbit::KeplerianElements::circular_leo(800.0, 60.0);
-  orbit::GroundStation site = orbit::GroundStation::stanford();
   bus::BusConfig bus;
   /// Checkpointed warm restarts (ISSUE 3), tiered L0/L1/L2 (ISSUE 7).
   /// Disabled by default: legacy configurations reproduce the seed's
@@ -69,7 +65,7 @@ class Station {
   Radio& radio() { return radio_; }
   SerialPort& serial_port() { return serial_port_; }
   const orbit::Propagator& satellite() const { return satellite_; }
-  const orbit::GroundStation& site() const { return config_.site; }
+  const orbit::GroundStation& site() const { return site_; }
   SyncCoordinator& ses_str_sync() { return *sync_; }
   FedrPbcomLink& fedr_pbcom_link();
 
@@ -142,7 +138,10 @@ class Station {
   Radio radio_;
   SerialPort serial_port_;
   Antenna antenna_;
-  orbit::Propagator satellite_;
+  /// The satellite tracked (a Sapphire-like circular LEO) and the site
+  /// tracking it.
+  orbit::Propagator satellite_{orbit::KeplerianElements::circular_leo(800.0, 60.0)};
+  orbit::GroundStation site_ = orbit::GroundStation::stanford();
   std::unique_ptr<SyncCoordinator> sync_;
   std::unique_ptr<FedrPbcomLink> link_;
   std::unique_ptr<ProcessManager> process_manager_;

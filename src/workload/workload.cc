@@ -14,6 +14,13 @@ namespace mercury::workload {
 
 using util::Duration;
 
+namespace {
+/// Per-attempt response deadline (crashed components are fail-silent).
+constexpr Duration kRequestTimeout = Duration::millis(400.0);
+/// Delay before a retry (after a timeout or a "restarting" nack).
+constexpr Duration kRetryBackoff = Duration::millis(100.0);
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(sim::Simulator& sim, bus::MessageBus& bus,
                                std::vector<std::string> command_targets,
                                std::vector<std::string> telemetry_targets,
@@ -126,7 +133,7 @@ void WorkloadDriver::send_attempt(Request request) {
   const std::uint64_t seq = next_seq_++;
   ++request.attempts;
   request.timeout_event = sim_.schedule_after(
-      config_.request_timeout, session.name + ".timeout",
+      kRequestTimeout, session.name + ".timeout",
       [this, seq] { on_timeout(seq); });
   bus_.send(msg::make_ping(session.name, session.target, seq));
   in_flight_.emplace(seq, std::move(request));
@@ -181,7 +188,7 @@ void WorkloadDriver::retry_or_lose(Request request,
     return;
   }
   const std::string label = sessions_[request.session].name + ".retry";
-  sim_.schedule_after(config_.retry_backoff, label,
+  sim_.schedule_after(kRetryBackoff, label,
                       [this, request = std::move(request)]() mutable {
                         send_attempt(std::move(request));
                       });

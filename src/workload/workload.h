@@ -15,9 +15,9 @@
 //   * a pong resolves the request as served;
 //   * a typed "restarting" nack (bus::MessageBus::note_restarting) is a
 //     fast failure: the session touches the route (traffic-driven recovery)
-//     and retries after retry_backoff;
-//   * a timeout (crashed-but-attached components are fail-silent) touches
-//     the route and retries likewise;
+//     and retries after a 100 ms backoff;
+//   * a timeout (400 ms per attempt: crashed-but-attached components are
+//     fail-silent) touches the route and retries likewise;
 //   * a parked route answers immediately with a clean local rejection;
 //   * max_attempts exhausted resolves the request as lost.
 //
@@ -52,10 +52,6 @@ struct WorkloadConfig {
   int telemetry_sessions = 4;
   /// Open-loop Poisson arrivals per session.
   util::Duration mean_interarrival = util::Duration::millis(200.0);
-  /// Per-attempt response deadline (crashed components are fail-silent).
-  util::Duration request_timeout = util::Duration::millis(400.0);
-  /// Delay before a retry (after a timeout or a "restarting" nack).
-  util::Duration retry_backoff = util::Duration::millis(100.0);
   /// Send attempts per request before it resolves as lost (at most 255:
   /// the per-request record counts attempts in a byte).
   int max_attempts = 4;
@@ -98,7 +94,7 @@ class WorkloadDriver {
   /// Attach the sessions and begin issuing.
   void start();
   /// Stop issuing new requests; in-flight ones keep resolving (bounded by
-  /// max_attempts * (request_timeout + retry_backoff)).
+  /// max_attempts * (400 ms timeout + 100 ms backoff)).
   void quiesce();
   /// Quiesce instant in seconds (0 while still running) — the `end_t` for
   /// core::TrafficAccount::summarize, so the draining tail after the

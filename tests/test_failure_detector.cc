@@ -49,12 +49,11 @@ class FdTest : public ::testing::Test {
     });
   }
 
-  void build_fd(std::vector<std::string> targets) {
+  void build_fd(std::vector<std::string> targets, FdConfig config = {}) {
     for (const auto& target : targets) {
       endpoints_.emplace(target, std::make_unique<FakeEndpoint>(bus_, target));
     }
-    fd_ = std::make_unique<FailureDetector>(sim_, bus_, link_, targets,
-                                            FdConfig{});
+    fd_ = std::make_unique<FailureDetector>(sim_, bus_, link_, targets, config);
     fd_->start();
   }
 
@@ -129,6 +128,28 @@ TEST_F(FdTest, ReportCooldownLimitsRepeatRate) {
   // Unmasked and persistently dead: ~1 report per ping period, not more.
   EXPECT_GE(reports_.size(), 3u);
   EXPECT_LE(reports_.size(), 6u);
+}
+
+TEST_F(FdTest, ReportCooldownSuppressesRepeatsInsideIt) {
+  // Pinging every 400 ms, a dead target times out twice inside FD's fixed
+  // 900 ms report cooldown and a third time just past it.
+  FdConfig config;
+  config.ping_period = Duration::millis(400.0);
+  build_fd({"mbus", "a"}, config);
+  sim_.run_for(Duration::seconds(1.0));
+  endpoints_["a"]->alive = false;
+  while (reports_.empty()) ASSERT_TRUE(sim_.step());
+  const int pings_at_first_report = endpoints_["a"]->received_;
+
+  // The misses at about +400 and +800 ms are suppressed.
+  sim_.run_for(Duration::millis(850.0));
+  EXPECT_EQ(endpoints_["a"]->received_, pings_at_first_report + 2);
+  EXPECT_EQ(reports_.size(), 1u);
+
+  // The miss at about +1200 ms is past the cooldown and goes through.
+  sim_.run_for(Duration::millis(400.0));
+  ASSERT_EQ(reports_.size(), 2u);
+  EXPECT_EQ(reports_[1], "a");
 }
 
 TEST_F(FdTest, MaskSuppressesReportsUntilUnmask) {

@@ -230,6 +230,36 @@ TEST_F(RecTest, UnrelatedFailureAfterRootRestartDoesNotPark) {
   EXPECT_TRUE(rec_->hard_failures().empty());
 }
 
+TEST_F(RecTest, RootRestartsFurtherApartThanTheRetryWindowDoNotPark) {
+  build();  // default max_root_restarts = 2; REC's root-retry window is 90 s
+  // Drive rtu's chain to a counted root restart: leaf, root, then a prompt
+  // re-failure after the root restart.
+  const auto fail_through_a_root_restart = [this] {
+    report(names::kRtu);
+    sim_.run_for(Duration::seconds(1.5));
+    report(names::kRtu);  // escalate -> root
+    sim_.run_for(Duration::seconds(1.5));
+    report(names::kRtu);  // failed again after the root restart: counted
+    sim_.run_for(Duration::seconds(1.5));
+  };
+  fail_through_a_root_restart();
+  EXPECT_TRUE(rec_->hard_failures().empty());
+
+  // About 100 s later, outside the window: the count starts over at 1
+  // instead of reaching max_root_restarts.
+  sim_.run_for(Duration::seconds(100.0));
+  fail_through_a_root_restart();
+  EXPECT_TRUE(rec_->hard_failures().empty());
+  int roots = 0;
+  for (const auto& group : process_.groups) roots += group.size() == 6u;
+  EXPECT_EQ(roots, 4);
+
+  // Inside the window the restarted count does reach 2, and rtu parks.
+  report(names::kRtu);
+  ASSERT_EQ(rec_->hard_failures().size(), 1u);
+  EXPECT_EQ(rec_->hard_failures()[0], names::kRtu);
+}
+
 TEST_F(RecTest, CrashedRecIgnoresReports) {
   build();
   rec_->crash();
