@@ -100,9 +100,9 @@ class Report {
 /// obs::CheckOptions), writes <name>.trace.jsonl (line-per-event schema;
 /// `mercury_ctl chrome` renders it for chrome://tracing or ui.perfetto.dev)
 /// into $MERCURY_TRACE_DIR (default: the working directory) and prints the
-/// per-phase recovery breakdown plus aggregate counters. Benches return
-/// `trace.finish() | failures` so an illegal recovery schedule fails the
-/// bench even when the aggregate numbers look fine.
+/// per-phase recovery breakdown. Benches return `trace.finish() | failures`
+/// so an illegal recovery schedule fails the bench even when the aggregate
+/// numbers look fine.
 ///
 /// Set MERCURY_TRACE=0 to disable tracing entirely.
 class TraceSession {
@@ -159,7 +159,6 @@ class TraceSession {
     std::printf("\n--- Recovery phase breakdown (from trace) -----------------\n");
     std::printf("%s", obs::phase_table(
                           obs::recovery_phases(recorder_->events())).c_str());
-    std::printf("%s", recorder_->metrics_summary().c_str());
     if (recorder_->dropped() > 0) {
       std::printf("note: %llu events dropped at the recorder cap\n",
                   static_cast<unsigned long long>(recorder_->dropped()));

@@ -17,8 +17,6 @@ void trace_cured(const ActiveFailure& failure, util::TimePoint now) {
                {{"manifest", failure.spec->manifest},
                 {"id", failure.id},
                 {"kind", failure.spec->kind}});
-  obs::incr("faults.cured");
-  obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
 }
 
 bool by_id(const ActiveFailure& a, const ActiveFailure& b) { return a.id < b.id; }
@@ -77,7 +75,6 @@ FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
                   {"kind", failure.spec->kind},
                   {"id", failure.id}});
   }
-  obs::incr("faults.injected");
   for (const auto& listener : inject_listeners_) listener(failure);
   return failure.id;
 }
@@ -221,18 +218,14 @@ const RestartFaultSpec& FailureBoard::restart_faults(
 
 void FailureBoard::note_restart_hang(const std::string& component,
                                      util::TimePoint now) {
-  ++restart_hangs_;
   obs::instant(now, "restart", "restart.hang", "board",
                {{"component", component}});
-  obs::incr("restart.hangs");
 }
 
 void FailureBoard::note_restart_crash(const std::string& component,
                                       util::TimePoint now) {
-  ++restart_crashes_;
   obs::instant(now, "restart", "restart.crash", "board",
                {{"component", component}});
-  obs::incr("restart.crashes");
 }
 
 void FailureBoard::add_cure_listener(CureListener listener) {

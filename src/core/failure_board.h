@@ -107,16 +107,11 @@ class FailureBoard {
   /// The component's restart-fault spec; all-zero default if none installed.
   const RestartFaultSpec& restart_faults(const std::string& component) const;
 
-  bool any_restart_faults() const { return !restart_faults_.empty(); }
-
   /// Bookkeeping hooks for the process manager: a restart attempt of
-  /// `component` hung / crashed during startup. Emit trace events and bump
-  /// counters so chaos campaigns can audit the injected restart faults.
+  /// `component` hung / crashed during startup. Emit the trace events that
+  /// let chaos campaigns audit the injected restart faults.
   void note_restart_hang(const std::string& component, util::TimePoint now);
   void note_restart_crash(const std::string& component, util::TimePoint now);
-
-  std::uint64_t restart_hangs() const { return restart_hangs_; }
-  std::uint64_t restart_crashes() const { return restart_crashes_; }
 
  private:
   /// One active failure of a known spec.
@@ -150,8 +145,6 @@ class FailureBoard {
   std::map<std::string, RestartFaultSpec> restart_faults_;
   FailureId next_id_ = 1;
   std::uint64_t total_cured_ = 0;
-  std::uint64_t restart_hangs_ = 0;
-  std::uint64_t restart_crashes_ = 0;
 };
 
 }  // namespace mercury::core

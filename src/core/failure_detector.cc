@@ -111,7 +111,6 @@ void FailureDetector::on_ping_timeout(TargetState& target) {
   obs::instant(sim_.now(), "detect", "fd.suspect", "fd",
                {{"component", target.name},
                 {"misses", target.consecutive_misses}});
-  obs::incr("fd.suspicions");
   if (target.consecutive_misses < config_.misses_before_report) return;
 
   if (target.name == names::kMbus) {
@@ -200,7 +199,6 @@ void FailureDetector::report(const std::string& component) {
   ++failures_reported_;
   obs::instant(sim_.now(), "detect", "fd.report", "fd",
                {{"component", component}});
-  obs::incr("fd.reports");
   msg::Message report = msg::make_command(names::kFd, names::kRec,
                                           seq_++, "report-failure");
   report.body.set_attr("component", component);
@@ -288,7 +286,6 @@ void FailureDetector::ping_rec() {
 void FailureDetector::on_rec_timeout() {
   if (!alive_ || !rec_restarter_) return;
   obs::instant(sim_.now(), "detect", "fd.rec-unresponsive", "fd");
-  obs::incr("fd.rec_restarts");
   rec_restart_in_flight_ = true;
   rec_restarter_();
   // Allow renewed monitoring once REC had a chance to come back; the

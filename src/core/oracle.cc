@@ -15,7 +15,6 @@ NodeId Oracle::traced(const OracleQuery& query, NodeId chosen) const {
          {"cell", query.tree->cell(chosen).label},
          {"oracle", name()},
          {"escalation", query.escalation_level}});
-    obs::recorder()->incr("oracle.choices");
   }
   return chosen;
 }

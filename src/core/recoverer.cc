@@ -139,7 +139,6 @@ TouchResult Recoverer::touch(const std::string& component) {
   ++touch_promotions_;
   obs::instant(sim_.now(), "recover", "rec.touch", "rec",
                {{"component", component}});
-  obs::incr("rec.touch_promotions");
   if (blocked_in_queue(entry)) {
     // An in-flight ancestor/descendant still conflicts: promoted to the DAG
     // front, dispatches at the first drain once the conflict clears.
@@ -176,7 +175,6 @@ void Recoverer::lazy_drain_tick() {
       continue;
     }
     ++lazy_drains_;
-    obs::incr("rec.lazy_drains");
     dispatch_report(entry.component);
     dispatched = true;
   }
@@ -243,7 +241,6 @@ void Recoverer::dispatch_report(const std::string& component) {
     ++escalations_;
     obs::instant(sim_.now(), "recover", "rec.escalate", "rec",
                  {{"component", component}, {"level", 1}, {"from", "soft"}});
-    obs::incr("rec.escalations");
     OracleQuery query;
     query.tree = &tree_;
     query.failed_component = component;
@@ -261,7 +258,6 @@ void Recoverer::dispatch_report(const std::string& component) {
     obs::instant(sim_.now(), "recover", "rec.escalate", "rec",
                  {{"component", component},
                   {"level", restart.escalation_level}});
-    obs::incr("rec.escalations");
     if (!recent->feedback_sent) {
       obs::instant(sim_.now(), "oracle", "oracle.feedback", "rec",
                    {{"component", recent->chain_component},
@@ -344,7 +340,6 @@ bool Recoverer::note_root_restart_then_maybe_park(
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", component},
                 {"root_restarts", history.count}});
-  obs::incr("rec.hard_failures");
   park(component, "root-restarts-exhausted", chain_touched);
   return true;
 }
@@ -378,7 +373,6 @@ void Recoverer::park(const std::string& component, const std::string& reason,
                   {"reason", reason},
                   {"masked", util::join(to_mask, ",")}});
   }
-  obs::incr("rec.parked");
   // Permanent FD mask: the station keeps running without the parked cell
   // instead of detect/restart-looping it. send_mask never unmasks parked
   // components again.
@@ -396,7 +390,6 @@ bool Recoverer::budget_exhausted_then_park(const Action& restart) {
   obs::instant(sim_.now(), "recover", "rec.hard-failure", "rec",
                {{"component", restart.reported_component},
                 {"attempts", restart.chain_attempts}});
-  obs::incr("rec.hard_failures");
   park(restart.reported_component, "attempt-budget-exhausted",
        &restart.chain_touched);
   return true;
@@ -413,7 +406,6 @@ void Recoverer::execute_soft(Action restart) {
       sim_.now(), "recover", "rec.soft", "rec",
       {{"component", restart.reported_component},
        {"cell", tree_.cell(restart.node).label}});
-  obs::incr("rec.soft_recoveries");
   send_mask(restart.components, true);
   restart.dispatched = true;
   const std::string component = restart.reported_component;
@@ -498,7 +490,6 @@ void Recoverer::execute(Action restart) {
                  {{"component", restart.reported_component},
                   {"cell", tree_.cell(restart.node).label},
                   {"delay_s", obs::Fixed{delay.to_seconds(), 3}}});
-    obs::incr("rec.backoffs");
     actions_.emplace(action_id, std::move(restart));
     note_in_flight_peak();
     sim_.schedule_after(delay, "rec.backoff", [this, action_id] {
@@ -533,7 +524,6 @@ void Recoverer::absorb_conflicting(const Action& absorber) {
                  {{"component", victim.reported_component},
                   {"cell", tree_.cell(victim.node).label},
                   {"into", tree_.cell(absorber.node).label}});
-    obs::incr("rec.absorbed");
     if (victim.deadline_event.valid()) sim_.cancel(victim.deadline_event);
     if (victim.dispatched) {
       // Members stay masked: the absorber covers a superset and re-masks at
@@ -590,7 +580,6 @@ void Recoverer::on_restart_timeout(std::uint64_t action_id) {
                {{"component", failed.reported_component},
                 {"cell", tree_.cell(failed.node).label},
                 {"escalation", failed.escalation_level}});
-  obs::incr("rec.restart_timeouts");
 
   // Whatever checkpointed state the failed attempt may have warm-started
   // from is now fault-suspected (ISSUE 3 — bad state is exactly what a
@@ -618,7 +607,6 @@ void Recoverer::on_restart_timeout(std::uint64_t action_id) {
                {{"component", failed.reported_component},
                 {"level", retry.escalation_level},
                 {"from", "timeout"}});
-  obs::incr("rec.escalations");
 
   if (failed.node == tree_.root()) {
     // Even the full-system restart hangs: after the tolerated number of
@@ -651,10 +639,6 @@ void Recoverer::on_restart_complete(std::uint64_t action_id) {
   actions_.erase(it);
 
   obs::end_span(sim_.now(), finished.trace_span);
-  obs::incr(finished.soft ? "rec.soft_completed" : "rec.restarts");
-  if (obs::enabled()) obs::incr("restarts.cell." + tree_.cell(finished.node).label);
-  obs::observe("recovery.action_seconds",
-               (sim_.now() - finished.report_time).to_seconds());
 
   send_mask(finished.components, false);
 
@@ -852,7 +836,6 @@ void Recoverer::ping_fd() {
 void Recoverer::on_fd_timeout() {
   if (!alive_ || !fd_restarter_) return;
   obs::instant(sim_.now(), "detect", "rec.fd-unresponsive", "rec");
-  obs::incr("rec.fd_restarts");
   fd_restart_in_flight_ = true;
   fd_restarter_();
   sim_.schedule_after(kFdPingPeriod * 5.0, "rec.fd-grace",

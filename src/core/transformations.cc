@@ -21,7 +21,6 @@ void trace_transform(const std::string& op, const std::string& target,
                {{"op", op},
                 {"target", target},
                 {"cells", tree.size()}});
-  obs::incr("tree.transforms");
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 #include "util/strings.h"
 
@@ -86,12 +86,6 @@ void append_number(std::string& out, double v) {
   const auto result =
       std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 9);
   out.append(buf, result.ptr);
-}
-
-std::string json_number(double v) {
-  std::string out;
-  append_number(out, v);
-  return out;
 }
 
 // Checked numeric parse of a whole string: corrupted trace lines carry
@@ -283,7 +277,6 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kInstant: return "i";
     case EventKind::kBegin: return "B";
     case EventKind::kEnd: return "E";
-    case EventKind::kCounter: return "C";
   }
   return "?";
 }
@@ -317,17 +310,8 @@ TraceArg::TraceArg(const Arg& arg)
       break;
     case ArgType::kUnsigned: bits_ = arg.unsigned_; break;
     case ArgType::kSigned: bits_ = static_cast<std::uint64_t>(arg.signed_); break;
-    case ArgType::kFixed:
-    case ArgType::kNumber: bits_ = std::bit_cast<std::uint64_t>(arg.number_); break;
+    case ArgType::kFixed: bits_ = std::bit_cast<std::uint64_t>(arg.number_); break;
   }
-}
-
-TraceArg TraceArg::number(std::string_view key_text, double value) {
-  TraceArg arg;
-  arg.key = Label(key_text);
-  arg.type_ = ArgType::kNumber;
-  arg.bits_ = std::bit_cast<std::uint64_t>(value);
-  return arg;
 }
 
 bool TraceArg::to_u64(std::uint64_t& out) const {
@@ -338,8 +322,7 @@ bool TraceArg::to_u64(std::uint64_t& out) const {
       out = bits_;
       return true;
     case ArgType::kString: return parse_whole(text().view(), out);
-    case ArgType::kFixed:
-    case ArgType::kNumber: return false;
+    case ArgType::kFixed: return false;
   }
   return false;
 }
@@ -350,8 +333,7 @@ bool TraceArg::to_double(double& out) const {
     case ArgType::kSigned:
       out = static_cast<double>(static_cast<std::int64_t>(bits_));
       return true;
-    case ArgType::kFixed:
-    case ArgType::kNumber: out = std::bit_cast<double>(bits_); return true;
+    case ArgType::kFixed: out = std::bit_cast<double>(bits_); return true;
     case ArgType::kString: return parse_whole(text().view(), out);
   }
   return false;
@@ -365,7 +347,6 @@ void TraceArg::append_escaped(std::string& out) const {
     case ArgType::kFixed:
       append_fixed(out, std::bit_cast<double>(bits_), precision_);
       break;
-    case ArgType::kNumber: append_number(out, std::bit_cast<double>(bits_)); break;
   }
 }
 
@@ -405,7 +386,7 @@ std::string TraceEvent::arg_or(std::string_view key, std::string_view fallback) 
 //   8 bytes  t, raw double bits
 //   per arg  key label id (varint), type (3 bits) | precision (5 bits; 31 =
 //            precision follows as a byte), value: label id or unsigned as a
-//            varint, signed as a zigzag varint, kFixed/kNumber as 8 raw bytes
+//            varint, signed as a zigzag varint, kFixed as 8 raw bytes
 
 namespace {
 
@@ -495,8 +476,7 @@ void EventBuffer::append(double t, EventKind kind, Label category, Label name,
       case ArgType::kString:
       case ArgType::kUnsigned: p = put_varint(p, arg.bits_); break;
       case ArgType::kSigned: p = put_varint(p, zigzag(arg.bits_)); break;
-      case ArgType::kFixed:
-      case ArgType::kNumber: p = put_raw(p, arg.bits_); break;
+      case ArgType::kFixed: p = put_raw(p, arg.bits_); break;
     }
   }
   block.used = static_cast<std::uint32_t>(p - block.bytes.get());
@@ -528,8 +508,7 @@ const std::uint8_t* EventBuffer::decode(const Block& block, const std::uint8_t* 
       case ArgType::kString:
       case ArgType::kUnsigned: arg.bits_ = get_varint(p); break;
       case ArgType::kSigned: arg.bits_ = unzigzag(get_varint(p)); break;
-      case ArgType::kFixed:
-      case ArgType::kNumber: arg.bits_ = get_raw(p); break;
+      case ArgType::kFixed: arg.bits_ = get_raw(p); break;
     }
   }
   return p;
@@ -644,66 +623,6 @@ void TraceRecorder::end(double t, std::uint64_t span, Args args) {
   push(t, EventKind::kEnd, labels, span, args);
 }
 
-void TraceRecorder::counter(double t, std::string_view name, double value,
-                            std::string_view track) {
-  if (events_.size() >= max_events_) {
-    ++dropped_;
-    return;
-  }
-  TraceEvent event;
-  event.t = t;
-  event.kind = EventKind::kCounter;
-  event.category = Label("metric");
-  event.name = Label(name);
-  event.track = Label(track);
-  event.run = run_;
-  event.args = {TraceArg::number("value", value)};
-  events_.push_back(event);
-}
-
-void TraceRecorder::incr(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) {
-    it->second += delta;
-  } else {
-    counters_.emplace(std::string(name), delta);
-  }
-}
-
-void TraceRecorder::observe(std::string_view name, double value) {
-  auto it = samples_.find(name);
-  if (it == samples_.end()) it = samples_.emplace(std::string(name), util::SampleStats{}).first;
-  it->second.add(value);
-}
-
-std::uint64_t TraceRecorder::count(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second : 0;
-}
-
-std::string TraceRecorder::metrics_summary() const {
-  std::ostringstream out;
-  if (!counters_.empty()) {
-    out << "counters:\n";
-    for (const auto& [name, value] : counters_) {
-      out << "  " << name << " = " << value << "\n";
-    }
-  }
-  if (!samples_.empty()) {
-    out << "samples (n / mean / p50 / p95 / max, seconds):\n";
-    for (const auto& [name, stats] : samples_) {
-      out << "  " << name << " = " << stats.count() << " / "
-          << json_number(stats.mean()) << " / " << json_number(stats.percentile(50))
-          << " / " << json_number(stats.percentile(95)) << " / "
-          << json_number(stats.max()) << "\n";
-    }
-  }
-  if (dropped_ > 0) {
-    out << "dropped events (over " << max_events_ << " cap): " << dropped_ << "\n";
-  }
-  return out.str();
-}
-
 void TraceRecorder::merge_from(const TraceRecorder& other) {
   const std::uint64_t span_offset = next_span_ - 1;
   const std::uint64_t run_offset = run_;
@@ -736,19 +655,11 @@ void TraceRecorder::merge_metadata_from(const TraceRecorder& other) {
   next_span_ += other.next_span_ - 1;
   run_ += other.run_;
   dropped_ += other.dropped_;
-  for (const auto& [name, value] : other.counters_) incr(name, value);
-  for (const auto& [name, stats] : other.samples_) {
-    auto it = samples_.find(name);
-    if (it == samples_.end()) it = samples_.emplace(name, util::SampleStats{}).first;
-    for (const double value : stats.samples()) it->second.add(value);
-  }
 }
 
 void TraceRecorder::clear() {
   events_.clear();
   open_spans_.clear();
-  counters_.clear();
-  samples_.clear();
   next_span_ = 1;
   run_ = 0;
   dropped_ = 0;
@@ -850,7 +761,6 @@ void write_chrome_trace_impl(const Range& events, std::ostream& stream) {
     if (!first) out += ",\n";
     first = false;
   };
-  static const Label kValue("value");
   for (const TraceEvent& event : events) {
     const auto key = std::make_pair(event.run, event.track.id());
     auto it = tids.find(key);
@@ -889,16 +799,8 @@ void write_chrome_trace_impl(const Range& events, std::ostream& stream) {
     out += event.name.escaped();
     out += "\"";
     if (event.kind == EventKind::kInstant) out += ",\"s\":\"t\"";
-    if (event.kind == EventKind::kCounter) {
-      // Counter events carry their value in args; Chrome wants it numeric.
-      out += ",\"args\":{\"value\":";
-      const TraceArg* value = event.find_arg(kValue);
-      out += value != nullptr ? value->value() : std::string("0");
-      out += "}";
-    } else {
-      out += ",\"args\":";
-      append_args_object(out, event.args);
-    }
+    out += ",\"args\":";
+    append_args_object(out, event.args);
     out += "}";
     sink.maybe_flush();
   }
@@ -1044,7 +946,6 @@ bool parse_event(std::string_view line, TraceEvent& event) {
       if (value == "i") event.kind = EventKind::kInstant;
       else if (value == "B") event.kind = EventKind::kBegin;
       else if (value == "E") event.kind = EventKind::kEnd;
-      else if (value == "C") event.kind = EventKind::kCounter;
       else return false;
     } else if (key == "cat" || key == "name" || key == "track") {
       if (!parse_string(c, value)) return false;
@@ -1109,16 +1010,6 @@ std::uint64_t begin_span(util::TimePoint t, std::string_view category,
 void end_span(util::TimePoint t, std::uint64_t span, Args args) {
   if (g_recorder == nullptr || span == 0) return;
   g_recorder->end(t.to_seconds(), span, args);
-}
-
-void incr(std::string_view name, std::uint64_t delta) {
-  if (g_recorder == nullptr) return;
-  g_recorder->incr(name, delta);
-}
-
-void observe(std::string_view name, double value) {
-  if (g_recorder == nullptr) return;
-  g_recorder->observe(name, value);
 }
 
 void next_run() {

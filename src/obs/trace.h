@@ -1,4 +1,4 @@
-// Recovery-path tracing & metrics (schema documented in docs/TRACING.md).
+// Recovery-path tracing (schema documented in docs/TRACING.md).
 //
 // The paper's contribution is a timing argument: recovery time = detection
 // latency + restart-policy decision + per-component restart durations. The
@@ -36,7 +36,6 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -45,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/stats.h"
 #include "util/time.h"
 
 namespace mercury::obs {
@@ -55,7 +53,6 @@ enum class EventKind : std::uint8_t {
   kInstant,  ///< point event ("ph":"i")
   kBegin,    ///< span open ("ph":"B"); paired with kEnd by `span`
   kEnd,      ///< span close ("ph":"E")
-  kCounter,  ///< sampled numeric value ("ph":"C")
 };
 
 std::string_view to_string(EventKind kind);
@@ -116,7 +113,6 @@ enum class ArgType : std::uint8_t {
   kUnsigned,  ///< std::uint64_t, formatted like std::to_string
   kSigned,    ///< std::int64_t, formatted like std::to_string
   kFixed,     ///< double with fixed digits, formatted like util::format_fixed
-  kNumber,    ///< double, formatted like printf("%.9g") (counter values)
 };
 
 /// A double formatted with `precision` digits after the point.
@@ -190,8 +186,6 @@ class TraceArg {
   TraceArg(std::string_view key, std::string_view value);
   /// Record an emit-side arg, interning its strings.
   explicit TraceArg(const Arg& arg);
-  /// A counter sample's value (ArgType::kNumber).
-  static TraceArg number(std::string_view key, double value);
 
   Label key;
 
@@ -366,7 +360,7 @@ class EventBuffer {
   std::size_t size_ = 0;
 };
 
-/// Append-only event log plus aggregate counters and sample sets.
+/// Append-only event log.
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t max_events = kDefaultMaxEvents);
@@ -384,20 +378,6 @@ class TraceRecorder {
   /// the matching begin. Unknown ids are dropped (the begin may have been
   /// evicted by the event cap).
   void end(double t, std::uint64_t span, Args args = {});
-  void counter(double t, std::string_view name, double value, std::string_view track);
-
-  // --- Aggregate metrics -------------------------------------------------
-  void incr(std::string_view name, std::uint64_t delta = 1);
-  void observe(std::string_view name, double value);
-  std::uint64_t count(std::string_view name) const;
-  const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, util::SampleStats, std::less<>>& samples() const {
-    return samples_;
-  }
-  /// Human-readable dump of all counters and sample percentiles.
-  std::string metrics_summary() const;
 
   // --- Run separation ----------------------------------------------------
   /// Start a new run (trial); subsequent events carry the new run index.
@@ -410,7 +390,7 @@ class TraceRecorder {
   std::uint64_t dropped() const { return dropped_; }
   void clear();
 
-  /// Append another recorder's events, counters, samples and drop count,
+  /// Append another recorder's events and drop count,
   /// rebasing its run indices and span ids past everything this recorder
   /// has issued — exactly the numbering a serial interleaving (this
   /// recorder recording `other`'s trials after its own) would have
@@ -447,7 +427,7 @@ class TraceRecorder {
             std::uint64_t span, Args args);
 
   /// Merge bookkeeping shared by both merge_from overloads (span/run
-  /// counters, drop counts, aggregate counters and samples).
+  /// counters and drop counts).
   void merge_metadata_from(const TraceRecorder& other);
 
   std::size_t max_events_;
@@ -458,8 +438,6 @@ class TraceRecorder {
   EventBuffer events_;
   /// Open spans: id -> labels of the begin, replayed into the end event.
   std::unordered_map<std::uint64_t, SpanLabels> open_spans_;
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
-  std::map<std::string, util::SampleStats, std::less<>> samples_;
 };
 
 /// Serialize an event list in the JSONL schema (one object per line);
@@ -500,8 +478,6 @@ std::uint64_t begin_span(util::TimePoint t, std::string_view category,
                          std::string_view name, std::string_view track,
                          Args args = {});
 void end_span(util::TimePoint t, std::uint64_t span, Args args = {});
-void incr(std::string_view name, std::uint64_t delta = 1);
-void observe(std::string_view name, double value);
 void next_run();
 
 /// RAII install/restore, for benches and tests.

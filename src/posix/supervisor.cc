@@ -115,7 +115,6 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
                                       worker.spec.name,
                                       *worker.replica_payload)) {
         ++partner_restores_;
-        obs::incr("posix.partner_restores");
       }
     };
     ckpt::CheckpointFile file;
@@ -127,12 +126,10 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
       case ckpt::FileState::kInvalid:
         ::unlink(worker.spec.checkpoint_file.c_str());
         ++checkpoints_deleted_;
-        obs::incr("posix.checkpoints_deleted");
         restore_from_replica();
         break;
       case ckpt::FileState::kValid:
         ++checkpoints_validated_;
-        obs::incr("posix.checkpoints_validated");
         worker.replica_payload = file.payload;
         break;
     }
@@ -164,7 +161,6 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
                                        "restart:" + worker.spec.name, "posix",
                                        {{"component", worker.spec.name}})
                      : 0;
-  obs::incr("posix.spawns");
 }
 
 void PosixSupervisor::run_for(Millis duration) {
@@ -300,7 +296,6 @@ void PosixSupervisor::detect() {
       // A startup outside any action (start_all) hung past the deadline.
       worker.state = WorkerState::kDown;
       ++startup_timeouts_;
-      obs::incr("posix.restart_timeouts");
       report(worker, "startup-timeout");
       continue;
     }
@@ -327,7 +322,6 @@ void PosixSupervisor::report(Worker& worker, const char* cause) {
   const std::string& name = worker.spec.name;
   obs::instant(sim_.now(), "detect", "fd.report", "posix",
                {{"component", name}, {"cause", cause}});
-  obs::incr("fd.reports");
   reported_.insert(name);
   msg::Message message = msg::make_command(names::kFd, names::kRec,
                                            seq_++, "report-failure");
@@ -373,7 +367,6 @@ void PosixSupervisor::check_health_policy() {
     obs::instant(sim_.now(), "recover", "rec.rejuvenate", "posix",
                  {{"component", name},
                   {"mem_mb", obs::Fixed{memory_mb, 1}}});
-    obs::incr("posix.rejuvenations");
     worker.last_rejuvenation = now;
     worker.memory_mb.reset();  // a fresh figure arrives after the restart
     ++rejuvenations_;
@@ -406,7 +399,6 @@ bool PosixSupervisor::kill_worker(const std::string& name) {
   if (worker.process.has_value()) worker.process->kill_hard();
   obs::instant(trace_now(), "fault", "fault.manifest", "posix",
                {{"manifest", name}, {"kind", "sigkill"}});
-  obs::incr("faults.injected");
   // State stays as it is: the supervisor has not *detected* anything yet.
   // The detector sees the pipe hang up on its next pass and reports it,
   // unless REC has masked the worker for a restart of its own.
@@ -420,7 +412,6 @@ bool PosixSupervisor::wedge_worker(const std::string& name) {
   if (worker.process.has_value()) worker.process->write_line("WEDGE");
   obs::instant(trace_now(), "fault", "fault.manifest", "posix",
                {{"manifest", name}, {"kind", "wedge"}});
-  obs::incr("faults.injected");
   return true;
 }
 

@@ -142,8 +142,7 @@ void FedrcomComponent::handle_message(const msg::Message& message) {
   }
   // Translate the XML command to a low-level radio command on the serial
   // line the fused proxy owns.
-  station_.serial_port().write("FREQ " + util::format_fixed(*freq, 0),
-                               station_.sim().now());
+  station_.serial_port().write("FREQ " + util::format_fixed(*freq, 0));
   send(msg::make_ack(message, name()));
 }
 
@@ -223,7 +222,7 @@ void PbcomComponent::handle_message(const msg::Message& message) {
 
 void PbcomComponent::deliver_line(const std::string& line) {
   if (!responsive()) return;  // dead or wedged proxy drops the line
-  station_.serial_port().write(line, station_.sim().now());
+  station_.serial_port().write(line);
 }
 
 void PbcomComponent::on_killed() {

@@ -118,11 +118,12 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
   rec_config.enable_soft_recovery = spec.enable_soft_recovery;
   rec_config.dispatch = spec.dispatch;
   rec_config.traffic_driven = spec.traffic_driven;
-  rec_config.lazy_drain_interval = spec.lazy_drain_interval;
   if (spec.harden_restart_path) {
+    // Same-cell backoff under hardening starts at half a second.
+    constexpr Duration kHardenedBackoffBase = Duration::seconds(0.5);
     rec_config.restart_deadline =
         hardened_restart_deadline(spec.cal, station_->component_names());
-    rec_config.backoff_base = spec.backoff_base;
+    rec_config.backoff_base = kHardenedBackoffBase;
     rec_config.max_attempts_per_chain = spec.max_attempts_per_chain;
   }
   for (const auto& [name, faults] : spec.restart_faults) {
@@ -326,7 +327,6 @@ TrialResult run_trial(const TrialSpec& spec) {
     // covering post-restart readiness work like the §4.3 resync.
     obs::instant(sim.now(), "sim", "trial.recovered", "trial",
                  {{"recovery", obs::Fixed{result.recovery.to_seconds(), 6}}});
-    obs::observe("trial.recovery_seconds", result.recovery.to_seconds());
   }
 
   // Stop issuing new requests at measurement end; the settle window below

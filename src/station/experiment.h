@@ -84,9 +84,6 @@ struct TrialSpec {
   /// Attempt budget installed when hardening (restarts per failure chain
   /// before parking as a hard failure).
   int max_attempts_per_chain = 8;
-  /// Backoff base installed when hardening (zero keeps backoff off even
-  /// when hardened).
-  util::Duration backoff_base = util::Duration::seconds(0.5);
   /// Restart-time faults installed on the board before the trial: each
   /// startup attempt of a listed component may hang or crash per its spec.
   std::map<std::string, core::RestartFaultSpec> restart_faults;
@@ -155,7 +152,6 @@ struct TrialSpec {
   /// restart lazily — a client request touching a queued cell promotes its
   /// restart to the DAG front; untouched cells drain in the background.
   bool traffic_driven = false;
-  util::Duration lazy_drain_interval = util::Duration::millis(500.0);
 };
 
 /// Deadline for one restart action under hardening: the calibration's worst

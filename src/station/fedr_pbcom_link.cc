@@ -12,7 +12,6 @@ FedrPbcomLink::FedrPbcomLink(Station& station) : station_(station) {}
 
 void FedrPbcomLink::on_fedr_killed() {
   ++epoch_;
-  ++fedr_restarts_;
   sever(/*ages_pbcom=*/true);
 }
 

@@ -31,7 +31,6 @@ class FedrPbcomLink {
 
   bool connected() const { return connected_; }
   int pbcom_age() const { return pbcom_age_; }
-  std::uint64_t fedr_restart_count() const { return fedr_restarts_; }
 
   /// Lifecycle notifications.
   void on_fedr_killed();
@@ -49,7 +48,6 @@ class FedrPbcomLink {
   Station& station_;
   bool connected_ = false;
   int pbcom_age_ = 0;
-  std::uint64_t fedr_restarts_ = 0;
   std::uint64_t epoch_ = 0;  ///< voids stale connect attempts
 };
 

@@ -100,7 +100,6 @@ void StationHealthReporter::emit_all() {
     beacon.hard_failure_suspected = hard != hard_flags_.end() && hard->second;
 
     station_.bus().send(core::encode_beacon(beacon, monitor_endpoint_));
-    ++beacons_sent_;
   }
 }
 

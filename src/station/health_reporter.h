@@ -54,8 +54,6 @@ class StationHealthReporter {
   /// Raise/clear the hard-failure flag in a component's beacons.
   void flag_hard_failure(const std::string& component, bool flagged = true);
 
-  std::uint64_t beacons_sent() const { return beacons_sent_; }
-
   /// The memory figure the next beacon would carry (for tests).
   double current_memory_mb(const std::string& component) const;
 
@@ -70,7 +68,6 @@ class StationHealthReporter {
   std::map<std::string, bool> hard_flags_;
   std::map<std::string, std::uint64_t> seqs_;
   std::unique_ptr<sim::PeriodicTask> task_;
-  std::uint64_t beacons_sent_ = 0;
 };
 
 }  // namespace mercury::station

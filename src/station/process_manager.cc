@@ -56,9 +56,7 @@ void ProcessManager::discard_checkpoints(const std::vector<std::string>& names) 
   // the partner replica or stable copy, which did not feed the failed
   // attempt. The retry's tier walk still reaches them before going cold.
   for (const auto& name : names) {
-    if (station_.checkpoints().suspect_discard(name)) {
-      obs::incr("checkpoint.suspect_discards");
-    }
+    station_.checkpoints().suspect_discard(name);
   }
 }
 
@@ -67,11 +65,7 @@ void ProcessManager::note_parked(const std::vector<std::string>& names) {
   // components it was replica host for must be re-partnered so their next
   // failure still warm-hits L1.
   for (const auto& name : names) {
-    const std::size_t reassigned =
-        station_.checkpoints().on_host_parked(name, station_.sim().now());
-    if (reassigned > 0) {
-      obs::incr("checkpoint.parked_reassigns", reassigned);
-    }
+    station_.checkpoints().on_host_parked(name, station_.sim().now());
   }
 }
 
@@ -99,7 +93,6 @@ void ProcessManager::restart_group(const std::vector<std::string>& names,
   Group& group = groups_[group_id];
   group.on_complete = std::move(on_complete);
   group.remaining = names.size();
-  ++groups_restarted_;
 
   // Kill phase: everything in the group dies first (REC kills the whole
   // subtree before bringing it back). A member already in flight from an
@@ -201,22 +194,13 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
   if (policy.enabled && !timing.has_warm_path()) {
     cold_reason = "no-warm-path";
   } else if (policy.enabled) {
-    if (attempt > 1 && station_.checkpoints().suspect_discard(name)) {
-      obs::incr("checkpoint.suspect_discards");
-    }
+    if (attempt > 1) station_.checkpoints().suspect_discard(name);
     const core::TierLookup lookup =
         station_.checkpoints().lookup(name, station_.sim().now());
-    for (const core::TierProbe& probe : lookup.probes) {
-      if (!probe.discarded) continue;
-      obs::incr("checkpoint.invalid_discards");
-    }
     if (lookup.hit) {
       warm = true;
       warm_tier = lookup.tier;
       poisoned = lookup.checkpoint->poisoned;
-      if (warm_tier != core::CheckpointTier::kL0Local) {
-        obs::incr("checkpoint.replica_hits");
-      }
     } else {
       // On a retry the legacy reason wins: the chain is fault-suspected no
       // matter which verdict the (now L0-less) walk reports.
@@ -224,10 +208,8 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
     }
     if (warm) {
       ++warm_restarts_;
-      obs::incr("pm.warm_restarts");
     } else if (timing.has_warm_path()) {
       ++cold_fallbacks_;
-      obs::incr("pm.cold_fallbacks");
     }
   }
 
@@ -263,7 +245,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
     proc.span = obs::begin_span(station_.sim().now(), "restart", "restart:" + name,
                                 "pm", span_args);
   }
-  obs::incr("pm.restarts");
 
   if (hang) {
     // The startup never completes; nothing is scheduled. Only a superseding
@@ -305,7 +286,6 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
           // in another tier may still warm the retry.
           station_.checkpoints().discard_tier(name, warm_tier);
           station_.board().note_restart_crash(name, station_.sim().now());
-          obs::incr("checkpoint.poison_crashes");
           if (proc.span != 0) {
             obs::end_span(station_.sim().now(), proc.span,
                           {{"outcome", "corrupt-checkpoint"}});
@@ -330,11 +310,7 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
           // serving copy into the tiers the fault emptied, so a second
           // failure of the same cell arriving before the next natural save
           // still warm-hits instead of falling off the redundancy cliff.
-          const std::size_t rebuilt =
-              station_.checkpoints().rebuild(name, station_.sim().now());
-          if (rebuilt > 0) {
-            obs::incr("checkpoint.tier_rebuilds", rebuilt);
-          }
+          station_.checkpoints().rebuild(name, station_.sim().now());
         }
         component->complete_start(warm);
         if (proc.span != 0) {

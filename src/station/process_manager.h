@@ -51,7 +51,6 @@ class ProcessManager : public core::ProcessControl {
 
   /// Startup attempts begun (successful or not; includes hung/crashed ones).
   std::uint64_t restarts_performed() const { return restarts_performed_; }
-  std::uint64_t groups_restarted() const { return groups_restarted_; }
 
   // --- Checkpointed warm restarts (ISSUE 3) -------------------------------
   /// Startup attempts begun warm (valid checkpoint offered back).
@@ -95,7 +94,6 @@ class ProcessManager : public core::ProcessControl {
   std::map<std::string, Proc> procs_;
   int restarting_count_ = 0;
   std::uint64_t restarts_performed_ = 0;
-  std::uint64_t groups_restarted_ = 0;
   std::uint64_t warm_restarts_ = 0;
   std::uint64_t cold_fallbacks_ = 0;
   std::uint64_t checkpoint_crashes_ = 0;

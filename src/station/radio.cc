@@ -6,8 +6,7 @@
 
 namespace mercury::station {
 
-void Radio::apply_command(const std::string& line, util::TimePoint now) {
-  last_command_ = now;
+void Radio::apply_command(const std::string& line) {
   const auto parts = util::split(std::string{util::trim(line)}, ' ');
   if (parts.size() == 2 && parts[0] == "FREQ") {
     char* end = nullptr;
@@ -25,12 +24,12 @@ void Radio::apply_command(const std::string& line, util::TimePoint now) {
   ++commands_rejected_;
 }
 
-bool SerialPort::write(const std::string& line, util::TimePoint now) {
+bool SerialPort::write(const std::string& line) {
   if (!open_) {
     ++writes_dropped_;
     return false;
   }
-  radio_->apply_command(line, now);
+  radio_->apply_command(line);
   return true;
 }
 

@@ -10,9 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "util/time.h"
 
 namespace mercury::station {
 
@@ -21,20 +18,18 @@ class Radio {
   /// Apply a low-level radio command line ("FREQ <hz>", "MODE <name>").
   /// Unknown commands are counted but otherwise ignored (real COTS radios
   /// NAK silently at this layer).
-  void apply_command(const std::string& line, util::TimePoint now);
+  void apply_command(const std::string& line);
 
   double frequency_hz() const { return frequency_hz_; }
   const std::string& mode() const { return mode_; }
   std::uint64_t commands_applied() const { return commands_applied_; }
   std::uint64_t commands_rejected() const { return commands_rejected_; }
-  util::TimePoint last_command_time() const { return last_command_; }
 
  private:
   double frequency_hz_ = 437.1e6;  // Sapphire-band default
   std::string mode_ = "FM";
   std::uint64_t commands_applied_ = 0;
   std::uint64_t commands_rejected_ = 0;
-  util::TimePoint last_command_;
 };
 
 /// The serial line between pbcom and the radio. Writes are applied to the
@@ -48,7 +43,7 @@ class SerialPort {
   bool is_open() const { return open_; }
 
   /// Write a command line; returns false (and drops it) when closed.
-  bool write(const std::string& line, util::TimePoint now);
+  bool write(const std::string& line);
 
   std::uint64_t writes_dropped() const { return writes_dropped_; }
 

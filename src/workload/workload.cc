@@ -173,7 +173,6 @@ void WorkloadDriver::on_timeout(std::uint64_t seq) {
   request.timeout_event = sim::EventId{};
   request.timed_out_once = true;
   ++timeouts_;
-  obs::incr("traffic.timeouts");
   // Crashed-but-attached components are fail-silent: the timeout is the
   // client's only evidence the route is down. Touch it anyway — touch is a
   // no-op unless a restart is actually queued for the route.
@@ -210,8 +209,6 @@ void WorkloadDriver::resolve(Request request, core::RequestOutcome outcome) {
   account_.record(record);
 
   const bool served = record.served();
-  obs::incr(served ? "traffic.served" : "traffic.lost");
-  if (record.attempts > 1) obs::incr("traffic.retried");
   if (request.trace_span != 0) {
     obs::end_span(sim_.now(), request.trace_span,
                   {{"outcome", served ? "served" : "lost"},

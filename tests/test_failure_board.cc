@@ -283,7 +283,6 @@ class ReferenceBoard {
                   {"cure", util::join(failure.spec->cure_set, ",")},
                   {"kind", failure.spec->kind},
                   {"id", failure.id}});
-    obs::incr("faults.injected");
     injected.push_back(failure);
     return failure.id;
   }
@@ -340,8 +339,6 @@ class ReferenceBoard {
                    {{"manifest", failure.spec->manifest},
                     {"id", failure.id},
                     {"kind", failure.spec->kind}});
-      obs::incr("faults.cured");
-      obs::observe("fault.active_seconds", (now - failure.onset).to_seconds());
       cured.push_back(failure);
     }
   }
@@ -375,7 +372,7 @@ template <typename A, typename B>
 std::string jsonl_of(const obs::TraceRecorder& recorder) {
   std::ostringstream out;
   recorder.write_jsonl(out);
-  return out.str() + recorder.metrics_summary();
+  return out.str();
 }
 
 TEST(FailureBoard, RandomizedDifferentialAgainstPerFailureMaskModel) {

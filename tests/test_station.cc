@@ -327,7 +327,7 @@ TEST_F(StationTest, FusedFedrcomAlsoDrivesRadio) {
 TEST_F(StationTest, SerialPortClosedDropsCommands) {
   Station& station = make_station();
   station.serial_port().close();
-  EXPECT_FALSE(station.serial_port().write("FREQ 437100000", sim_.now()));
+  EXPECT_FALSE(station.serial_port().write("FREQ 437100000"));
   EXPECT_EQ(station.serial_port().writes_dropped(), 1u);
 }
 
@@ -362,9 +362,9 @@ TEST(Antenna, ElevationClamped) {
 
 TEST(Radio, AppliesFreqAndModeCommands) {
   Radio radio;
-  radio.apply_command("FREQ 437090000", TimePoint::origin());
+  radio.apply_command("FREQ 437090000");
   EXPECT_DOUBLE_EQ(radio.frequency_hz(), 437090000.0);
-  radio.apply_command("MODE SSB", TimePoint::origin());
+  radio.apply_command("MODE SSB");
   EXPECT_EQ(radio.mode(), "SSB");
   EXPECT_EQ(radio.commands_applied(), 2u);
 }
@@ -372,9 +372,9 @@ TEST(Radio, AppliesFreqAndModeCommands) {
 TEST(Radio, RejectsGarbage) {
   Radio radio;
   const double before = radio.frequency_hz();
-  radio.apply_command("FREQ banana", TimePoint::origin());
-  radio.apply_command("WAT", TimePoint::origin());
-  radio.apply_command("FREQ -5", TimePoint::origin());
+  radio.apply_command("FREQ banana");
+  radio.apply_command("WAT");
+  radio.apply_command("FREQ -5");
   EXPECT_DOUBLE_EQ(radio.frequency_hz(), before);
   EXPECT_EQ(radio.commands_rejected(), 3u);
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -32,15 +33,13 @@ TEST(TraceRecorder, RecordsEventsInEmissionOrder) {
   TraceRecorder rec;
   rec.instant(1.0, "fault", "fault.manifest", "board", {{"manifest", "ses"}});
   rec.instant(2.0, "detect", "fd.report", "fd", {{"component", "ses"}});
-  rec.counter(2.5, "active", 3.0, "board");
 
-  ASSERT_EQ(rec.events().size(), 3u);
+  ASSERT_EQ(rec.events().size(), 2u);
   EXPECT_EQ(rec.events()[0].name, "fault.manifest");
   EXPECT_EQ(rec.events()[0].kind, EventKind::kInstant);
   EXPECT_EQ(rec.events()[0].arg_or("manifest"), "ses");
   EXPECT_EQ(rec.events()[1].name, "fd.report");
-  EXPECT_EQ(rec.events()[2].kind, EventKind::kCounter);
-  EXPECT_EQ(rec.events()[2].arg_or("value"), "3");
+  EXPECT_EQ(rec.events()[1].arg_or("component"), "ses");
 }
 
 TEST(TraceRecorder, SpansNestAndReplayMetadataOnEnd) {
@@ -83,22 +82,6 @@ TEST(TraceRecorder, EventCapCountsDropped) {
   rec.instant(3.0, "fault", "c", "t");
   EXPECT_EQ(rec.events().size(), 2u);
   EXPECT_EQ(rec.dropped(), 1u);
-}
-
-TEST(TraceRecorder, MetricsAggregate) {
-  TraceRecorder rec;
-  rec.incr("fd.reports");
-  rec.incr("fd.reports", 2);
-  rec.observe("trial.recovery_seconds", 5.0);
-  rec.observe("trial.recovery_seconds", 7.0);
-
-  EXPECT_EQ(rec.count("fd.reports"), 3u);
-  EXPECT_EQ(rec.count("missing"), 0u);
-  ASSERT_EQ(rec.samples().count("trial.recovery_seconds"), 1u);
-  EXPECT_DOUBLE_EQ(rec.samples().at("trial.recovery_seconds").mean(), 6.0);
-  const std::string summary = rec.metrics_summary();
-  EXPECT_NE(summary.find("fd.reports"), std::string::npos);
-  EXPECT_NE(summary.find("trial.recovery_seconds"), std::string::npos);
 }
 
 TEST(TraceRecorder, RunIndexStampsSubsequentEvents) {
@@ -223,7 +206,7 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
     return texts[pick(static_cast<std::int64_t>(texts.size()))];
   };
   const auto label = [&] { return Label(text()); };
-  // An emit-side arg of every type but kNumber (which only counters carry).
+  // An emit-side arg of every type.
   const auto emit_arg = [&]() -> Arg {
     const std::string_view key = text();
     switch (pick(4)) {
@@ -236,16 +219,13 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
   const auto random_event = [&] {
     TraceEvent event;
     event.t = real();
-    event.kind = static_cast<EventKind>(pick(4));
+    event.kind = static_cast<EventKind>(pick(3));
     event.category = label();
     event.name = label();
     event.track = label();
     event.span = span_id();
     event.run = rng.next_u64() >> (2 + pick(60));
-    for (std::size_t i = arg_count(); i > 0; --i) {
-      event.args.push_back(rng.chance(0.2) ? TraceArg::number(text(), real())
-                                           : TraceArg(emit_arg()));
-    }
+    for (std::size_t i = arg_count(); i > 0; --i) event.args.emplace_back(emit_arg());
     return event;
   };
   const auto rebased = [](TraceEvent event, std::uint64_t span_offset,
@@ -288,13 +268,8 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
                        expected.track, expected.span, expected.run, args);
       }
       model_append(std::move(expected));
-    } else if (kind < 70) {  // copy path, counters included
-      TraceEvent event = random_event();
-      if (rng.chance(0.2)) {
-        event.kind = EventKind::kCounter;
-        event.span = 0;
-        event.args = {TraceArg::number("value", real())};
-      }
+    } else if (kind < 70) {  // copy path
+      const TraceEvent event = random_event();
       const std::uint64_t span_offset = offset();
       const std::uint64_t run_offset = offset();
       if (has_room()) buffer.push_back(event, span_offset, run_offset);
@@ -367,8 +342,6 @@ TEST(TraceRecorder, DestructiveMergeMatchesCopyingMergeByteForByte) {
                                          {{"component", "ses"}});
     rec.instant(1.5, "detect", "fd.report", "fd");
     rec.end(2.0, span);
-    rec.incr("restarts");
-    rec.observe("recovery_s", 1.0);
   };
   TraceRecorder copied;
   TraceRecorder spliced;
@@ -386,7 +359,6 @@ TEST(TraceRecorder, DestructiveMergeMatchesCopyingMergeByteForByte) {
   spliced.write_jsonl(spliced_out);
   EXPECT_EQ(copied_out.str(), spliced_out.str());
   EXPECT_EQ(copied.run(), spliced.run());
-  EXPECT_EQ(copied.count("restarts"), spliced.count("restarts"));
 }
 
 TEST(TraceExport, JsonlRoundTripReproducesEvents) {
@@ -396,7 +368,6 @@ TEST(TraceExport, JsonlRoundTripReproducesEvents) {
   const auto span = rec.begin(1.0, "recover", "rec.restart", "rec",
                               {{"cell", "R_[ses,str]"}, {"escalation", "0"}});
   rec.next_run();
-  rec.counter(1.5, "active", 2.0, "board");
   rec.end(2.0, span, {{"outcome", "cured"}});
   // Values that stress the escaping and number formatting.
   rec.instant(3.0000001, "sim", "weird \"quotes\"\n\ttabs \\ backslash", "sim",
@@ -431,6 +402,9 @@ TEST(TraceExport, ReadJsonlSkipsMalformedLines) {
       "{\"t\":1,\"ph\":\"i\",\"cat\":\"fault\",\"name\":\"a\",\"track\":\"t\","
       "\"span\":0,\"run\":0,\"args\":{}}\n"
       "not json at all\n"
+      // An unknown phase (counter events are not part of the schema).
+      "{\"t\":1.5,\"ph\":\"C\",\"cat\":\"metric\",\"name\":\"active\","
+      "\"track\":\"board\",\"span\":0,\"run\":0,\"args\":{\"value\":\"3\"}}\n"
       "{\"t\":2,\"ph\":\"i\",\"cat\":\"fault\",\"name\":\"b\",\"track\":\"t\","
       "\"span\":0,\"run\":0,\"args\":{}}\n");
   const auto events = read_jsonl(in);
@@ -542,7 +516,6 @@ TEST(TraceExport, ChromeTraceIsWellFormed) {
   const auto span = rec.begin(1.0, "recover", "rec.restart", "rec");
   rec.end(2.0, span);
   rec.instant(2.5, "fault", "fault.cured", "board");
-  rec.counter(3.0, "active", 1.0, "board");
 
   std::ostringstream out;
   rec.write_chrome_trace(out);
@@ -551,7 +524,6 @@ TEST(TraceExport, ChromeTraceIsWellFormed) {
   EXPECT_NE(text.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
   // Track naming metadata for the viewers.
   EXPECT_NE(text.find("thread_name"), std::string::npos);
   // Timestamps are microseconds: t=1.0 s -> 1000000.
@@ -570,8 +542,6 @@ TEST(TraceGlobals, FreeFunctionsNoOpWithoutRecorder) {
   const auto span = begin_span(TimePoint::from_seconds(1.0), "recover", "x", "t");
   EXPECT_EQ(span, 0u);
   end_span(TimePoint::from_seconds(2.0), span);
-  incr("nothing");
-  observe("nothing", 1.0);
   next_run();
 }
 
@@ -596,7 +566,7 @@ TEST(TraceGlobals, TransformationsEmitTreeEvents) {
   ASSERT_EQ(rec.events().size(), 1u);
   EXPECT_EQ(rec.events()[0].name, "tree.transform");
   EXPECT_EQ(rec.events()[0].arg_or("op"), "depth_augment");
-  EXPECT_EQ(rec.count("tree.transforms"), 1u);
+  EXPECT_EQ(rec.events()[0].category, "tree");
 }
 
 // --- Phase decomposition on a real crash -> recovery ----------------------
@@ -650,11 +620,19 @@ TEST_F(TracedTrial, CrashProducesThePipelineEventSequence) {
   EXPECT_LT(restart_end, action_end);
   EXPECT_LT(restart_end, cured);
 
-  EXPECT_GE(rec_.count("faults.injected"), 1u);
-  EXPECT_GE(rec_.count("faults.cured"), 1u);
-  EXPECT_GE(rec_.count("fd.reports"), 1u);
-  EXPECT_GE(rec_.count("oracle.choices"), 1u);
-  EXPECT_GE(rec_.count("rec.restarts"), 1u);
+  // One crash, one report, one decision, one completed restart action.
+  const auto count_of = [&](const std::string& name, EventKind kind) {
+    std::size_t n = 0;
+    for (const TraceEvent& event : rec_.events()) {
+      if (event.name == name && event.kind == kind) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count_of("fault.manifest", EventKind::kInstant), 1u);
+  EXPECT_EQ(count_of("fault.cured", EventKind::kInstant), 1u);
+  EXPECT_EQ(count_of("fd.report", EventKind::kInstant), 1u);
+  EXPECT_EQ(count_of("oracle.choice", EventKind::kInstant), 1u);
+  EXPECT_EQ(count_of("rec.restart", EventKind::kEnd), 1u);
 }
 
 TEST_F(TracedTrial, PhasesTileTheMeasuredRecoveryTime) {
@@ -754,7 +732,7 @@ TEST(TraceArgFormat, FixedFormatsLikeFormatFixed) {
   }
 }
 
-TEST(TraceArgFormat, CounterValuesFormatLikePercentNineG) {
+TEST(TraceExport, TimestampsFormatLikePercentNineG) {
   std::vector<double> values = {0.0,    -0.0,   1.0,        3.0,      0.1,
                                 1.0 / 3, -2.5,   123456789.0, 1234567890.0,
                                 1e-5,   1e-300, 6.02214076e23,
@@ -766,10 +744,12 @@ TEST(TraceArgFormat, CounterValuesFormatLikePercentNineG) {
   }
   for (const double v : values) {
     TraceRecorder rec;
-    rec.counter(0.0, "active", v, "board");
+    rec.instant(v, "c", "n", "t");
+    std::ostringstream out;
+    rec.write_jsonl(out);
     char expected[64];
-    std::snprintf(expected, sizeof expected, "%.9g", v);
-    EXPECT_EQ(rec.events()[0].arg_or("value"), expected) << v;
+    std::snprintf(expected, sizeof expected, "{\"t\":%.9g,", v);
+    EXPECT_EQ(out.str().substr(0, std::strlen(expected)), expected) << v;
   }
 }
 
@@ -972,10 +952,7 @@ void record_trial(TraceRecorder& rec, const std::string& tag, int index) {
                 {{"cell", "R_" + tag}, {"escalation", index % 3}});
   rec.instant(0.75, "fault", "fault." + tag, "board",
               {{"id", std::uint64_t(index)}, {"delay_s", Fixed{0.25 * index, 3}}});
-  rec.counter(0.8, "gauge-" + tag, 1.0 / (index + 1), "board");
   rec.end(1.0 + index, span, {{"outcome", "ready-" + tag}});
-  rec.incr("restarts." + tag);
-  rec.observe("recovery_s", 1.0 + index);
 }
 
 TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
@@ -1008,8 +985,6 @@ TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
   EXPECT_EQ(jsonl(spliced), jsonl(serial));
   EXPECT_EQ(chrome(copied), chrome(serial));
   EXPECT_EQ(chrome(spliced), chrome(serial));
-  EXPECT_EQ(copied.counters(), serial.counters());
-  EXPECT_EQ(spliced.counters(), serial.counters());
 }
 
 /// What `days` of the Table-1 station record.
