@@ -96,8 +96,9 @@ class Report {
 /// parallel experiment runner merges worker-thread trials back into this
 /// recorder in trial order, so the files below are byte-identical for any
 /// MERCURY_JOBS). finish() — called by the destructor if the bench does not —
-/// validates the recovery-trace invariants (obs/trace_check.h, default
-/// obs::CheckOptions), writes <name>.trace.jsonl (line-per-event schema;
+/// validates the recovery-trace invariants over the recorder's EventBuffer
+/// (obs/trace_check.h, every invariant, lost-kill included), then writes
+/// <name>.trace.jsonl from the same buffer (line-per-event schema;
 /// `mercury_ctl chrome` renders it for chrome://tracing or ui.perfetto.dev)
 /// into $MERCURY_TRACE_DIR (default: the working directory) and prints the
 /// per-phase recovery breakdown. Benches return `trace.finish() | failures`

@@ -172,30 +172,42 @@ double bench_trace_record(std::size_t events, int reps) {
 }
 
 /// Merge throughput: per-trial recorders spliced into an ambient recorder,
-/// the parallel runner's join step. Only the merges are timed; filling the
-/// per-trial recorders is setup.
-double bench_trace_merge(std::size_t per_recorder, std::size_t recorders,
-                         int reps) {
-  return best_ops_per_s(reps, [per_recorder, recorders] {
-    std::vector<std::unique_ptr<mercury::obs::TraceRecorder>> trials;
-    trials.reserve(recorders);
-    for (std::size_t r = 0; r < recorders; ++r) {
-      auto recorder = std::make_unique<mercury::obs::TraceRecorder>();
-      for (std::size_t i = 0; i + 2 <= per_recorder; i += 2) {
-        const double t = 1e-6 * static_cast<double>(i);
-        const std::uint64_t span =
-            recorder->begin(t, "recover", "rec.restart", "rec",
-                            {{"component", "ses"}, {"cell", "ses"}});
-        recorder->end(t + 1e-6, span);
+/// the parallel runner's join step. Every per-trial recorder holds the same
+/// 512 events (256 begin/end pairs, about 9 kB in five blocks), so a merge
+/// costs a fixed number of block splices; one merge is one op. A merge that
+/// copied event by event would cost tens of times more per op. Only the
+/// merges are timed; filling the per-trial recorders is setup, done in
+/// batches to bound memory.
+double bench_trace_merge(std::size_t merges, int reps) {
+  constexpr std::size_t kEventsPerTrial = 512;
+  constexpr std::size_t kBatch = 64;
+  return best_ops_per_s(reps, [merges] {
+    double elapsed = 0.0;
+    std::uint64_t merged = 0;
+    for (std::size_t done = 0; done < merges; done += kBatch) {
+      std::vector<std::unique_ptr<mercury::obs::TraceRecorder>> trials;
+      trials.reserve(kBatch);
+      for (std::size_t r = 0; r < kBatch; ++r) {
+        auto recorder = std::make_unique<mercury::obs::TraceRecorder>();
+        for (std::size_t i = 0; i < kEventsPerTrial; i += 2) {
+          const double t = 1e-6 * static_cast<double>(i);
+          const std::uint64_t span =
+              recorder->begin(t, "recover", "rec.restart", "rec",
+                              {{"component", "ses"}, {"cell", "ses"}});
+          recorder->end(t + 1e-6, span);
+        }
+        trials.push_back(std::move(recorder));
       }
-      trials.push_back(std::move(recorder));
+      mercury::obs::TraceRecorder ambient;
+      const auto start = std::chrono::steady_clock::now();
+      for (auto& trial : trials) ambient.merge_from(std::move(*trial));
+      elapsed += seconds_since(start);
+      if (ambient.events().size() != kBatch * kEventsPerTrial) {
+        std::fprintf(stderr, "FAIL: trace merge lost events\n");
+        std::exit(1);
+      }
+      merged += kBatch;
     }
-
-    mercury::obs::TraceRecorder ambient;
-    const auto start = std::chrono::steady_clock::now();
-    for (auto& trial : trials) ambient.merge_from(std::move(*trial));
-    const double elapsed = seconds_since(start);
-    const std::uint64_t merged = ambient.events().size();
     return std::pair{merged, elapsed};
   });
 }
@@ -282,8 +294,7 @@ int main() {
       "msgs/s");
   add("trace_records_per_s", bench_trace_record(60'000 * scale, reps),
       "events/s");
-  add("trace_merge_events_per_s",
-      bench_trace_merge(20'000 * scale, 8, reps), "events/s");
+  add("trace_merges_per_s", bench_trace_merge(256 * scale, reps), "merges/s");
   add("xml_roundtrips_per_s", bench_xml_roundtrip(20'000 * scale, reps),
       "roundtrips/s");
   add("trials_per_s_per_core", bench_trials(30 * scale, reps), "trials/s");

@@ -207,22 +207,21 @@ int cmd_passes(const Args& args) {
 
 /// Render a saved JSONL trace as Chrome trace-event JSON on stdout. The
 /// reader skips malformed lines, so a file whose non-empty lines did not all
-/// parse is refused rather than rendered short.
+/// parse is refused rather than rendered short. The file is read twice
+/// (count the lines, then parse them) rather than held in memory as text.
 int cmd_chrome(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
   std::size_t lines = 0;
-  for (std::string line; std::getline(buffer, line);) {
+  for (std::string line; std::getline(in, line);) {
     if (!line.empty()) ++lines;
   }
-  buffer.clear();
-  buffer.seekg(0);
-  const std::vector<obs::TraceEvent> events = obs::read_jsonl(buffer);
+  in.clear();
+  in.seekg(0);
+  const obs::EventBuffer events = obs::read_jsonl(in);
   if (events.size() != lines) {
     std::fprintf(stderr, "%s: %zu of %zu lines are not trace events\n",
                  path.c_str(), lines - events.size(), lines);

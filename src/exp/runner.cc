@@ -7,6 +7,8 @@
 #include <memory>
 #include <thread>
 
+#include "obs/trace.h"
+
 namespace mercury::exp {
 
 int env_jobs() {
@@ -25,13 +27,9 @@ int hardware_jobs() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-ExperimentRunner::ExperimentRunner(RunnerConfig config) : config_(config) {
-  if (config_.jobs > 0) {
-    jobs_ = config_.jobs;
-  } else {
-    const int from_env = env_jobs();
-    jobs_ = from_env > 0 ? from_env : hardware_jobs();
-  }
+ExperimentRunner::ExperimentRunner() {
+  const int from_env = env_jobs();
+  jobs_ = from_env > 0 ? from_env : hardware_jobs();
 }
 
 void ExperimentRunner::run(std::size_t trials,
@@ -45,21 +43,16 @@ void ExperimentRunner::run(std::size_t trials,
   obs::TraceRecorder* ambient = obs::recorder();
   const bool capture = ambient != nullptr;
 
-  const SeedStream seeds(config_.master_seed);
   std::vector<std::unique_ptr<obs::TraceRecorder>> captures(
       capture ? trials : 0);
   std::vector<std::exception_ptr> errors(trials);
 
   const auto run_one = [&](std::size_t index) {
-    TrialContext ctx;
-    ctx.index = index;
-    ctx.seed = config_.master_seed != 0 ? seeds.trial_seed(index)
-                                        : static_cast<std::uint64_t>(index);
+    TrialContext ctx{index};
     try {
       if (capture) {
         auto recorder = std::make_unique<obs::TraceRecorder>();
         obs::ScopedRecorder scope(*recorder);
-        ctx.recorder = recorder.get();
         body(ctx);
         captures[index] = std::move(recorder);
       } else {

@@ -24,43 +24,27 @@
 // the pre-runner serial output as well. jobs=1 runs inline on the calling
 // thread with no pool at all (today's behaviour).
 //
-// Job count resolution: config.jobs if positive, else $MERCURY_JOBS if set
-// to a positive integer, else std::thread::hardware_concurrency().
+// Job count resolution: $MERCURY_JOBS if set to a positive integer, else
+// std::thread::hardware_concurrency().
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "exp/seed_stream.h"
-#include "obs/trace.h"
-
 namespace mercury::exp {
 
 /// Everything a trial body may depend on. Trials must not read any other
 /// process-wide mutable state, or determinism under parallelism is lost.
+/// The caller's per-trial inputs carry their own seeds. While the launching
+/// thread has a recorder installed, the body runs under a private recorder
+/// of its own, reachable through obs::recorder() (events of this trial
+/// only).
 struct TrialContext {
   /// Trial number in submission order; results are aggregated by it.
   std::size_t index = 0;
-  /// SeedStream-derived seed for this trial (see RunnerConfig::master_seed);
-  /// equals `index` when no master seed is configured and the caller's
-  /// per-trial inputs carry their own seeds.
-  std::uint64_t seed = 0;
-  /// This trial's private recorder, or nullptr when capture is off (no
-  /// ambient recorder installed on the launching thread). Safe to inspect
-  /// inside the body: events of this trial only.
-  obs::TraceRecorder* recorder = nullptr;
-};
-
-struct RunnerConfig {
-  /// Worker threads; 0 = $MERCURY_JOBS, else hardware concurrency.
-  int jobs = 0;
-  /// Derive ctx.seed = SeedStream(master_seed).trial_seed(index) when
-  /// nonzero; otherwise ctx.seed = index.
-  std::uint64_t master_seed = 0;
 };
 
 /// Positive value of $MERCURY_JOBS, or 0 when unset/invalid.
@@ -70,7 +54,7 @@ int hardware_jobs();
 
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(RunnerConfig config = {});
+  ExperimentRunner();
 
   /// Resolved worker count (before clamping to the trial count).
   int jobs() const { return jobs_; }
@@ -93,7 +77,6 @@ class ExperimentRunner {
   }
 
  private:
-  RunnerConfig config_;
   int jobs_ = 1;
 };
 

@@ -17,8 +17,8 @@
 // The legacy benches keep their published `base + i` seed grids (the
 // numbers in EXPERIMENTS.md are pinned to them); util::Rng already applies
 // SplitMix64 when seeding xoshiro, so those remain well-distributed.
-// SeedStream is the scheme for new sweeps and for the ExperimentRunner's
-// derived-seed mode.
+// SeedStream is the scheme for new sweeps; the workload driver derives its
+// per-session streams from it.
 #pragma once
 
 #include <cstdint>

@@ -32,10 +32,9 @@ const Names& names() {
   return kNames;
 }
 
-/// Shared body of both recovery_phases overloads; `Range` is any forward
-/// range of TraceEvent (flat vector or chunked EventBuffer).
-template <typename Range>
-std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
+}  // namespace
+
+std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events) {
   const Names& n = names();
   std::vector<RecoveryPhases> rows;
   // Latest unconsumed fault onset / failure report per (run, component).
@@ -121,9 +120,7 @@ std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
   return rows;
 }
 
-/// Shared body of both narrate overloads.
-template <typename Range>
-std::string narrate_impl(const Range& events) {
+std::string narrate(const EventBuffer& events) {
   std::string out;
   std::unordered_map<std::uint64_t, double> begun_at;  // open spans by id
   char number[32];
@@ -154,23 +151,6 @@ std::string narrate_impl(const Range& events) {
   }
   return out;
 }
-
-}  // namespace
-
-std::vector<RecoveryPhases> recovery_phases(
-    const std::vector<TraceEvent>& events) {
-  return recovery_phases_impl(events);
-}
-
-std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events) {
-  return recovery_phases_impl(events);
-}
-
-std::string narrate(const std::vector<TraceEvent>& events) {
-  return narrate_impl(events);
-}
-
-std::string narrate(const EventBuffer& events) { return narrate_impl(events); }
 
 std::string phase_table(const std::vector<RecoveryPhases>& rows) {
   struct Agg {

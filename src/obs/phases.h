@@ -54,18 +54,15 @@ struct RecoveryPhases {
   }
 };
 
-/// Reconstruct per-recovery-action phase rows from an event stream (as
-/// recorded, or as loaded back via read_jsonl). Events must be in emission
-/// order. Actions still open at the end of the stream are omitted. The
-/// EventBuffer overload analyzes a live recorder's chunked log in place.
-std::vector<RecoveryPhases> recovery_phases(const std::vector<TraceEvent>& events);
+/// Reconstruct per-recovery-action phase rows from an event log (a live
+/// recorder's, or one loaded back via read_jsonl). Events must be in
+/// emission order. Actions still open at the end of the log are omitted.
 std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events);
 
 /// Plain-text account of a trace, one line per event in emission order:
 /// `[%10.3f] <track> <name> k=v ...`. A span's begin line adds `begin`;
 /// its end line adds `end (<duration> s)`, the duration found by span id
-/// (plain `end` when the begin is not in the stream).
-std::string narrate(const std::vector<TraceEvent>& events);
+/// (plain `end` when the begin is not in the log).
 std::string narrate(const EventBuffer& events);
 
 /// Aggregate phase table (mean seconds per reported component plus a total

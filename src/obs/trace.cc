@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -623,32 +624,23 @@ void TraceRecorder::end(double t, std::uint64_t span, Args args) {
   push(t, EventKind::kEnd, labels, span, args);
 }
 
-void TraceRecorder::merge_from(const TraceRecorder& other) {
+void TraceRecorder::merge_from(TraceRecorder&& other) {
   const std::uint64_t span_offset = next_span_ - 1;
   const std::uint64_t run_offset = run_;
-  for (const TraceEvent& event : other.events_) {
-    if (events_.size() >= max_events_) {
-      ++dropped_;
-      continue;
-    }
-    events_.push_back(event, span_offset, run_offset);
-  }
-  merge_metadata_from(other);
-}
-
-void TraceRecorder::merge_from(TraceRecorder&& other) {
   if (events_.size() + other.events_.size() <= max_events_) {
-    other.events_.rebase(next_span_ - 1, run_);
+    other.events_.rebase(span_offset, run_offset);
     events_.splice_from(std::move(other.events_));
-    merge_metadata_from(other);
-    return;
+  } else {
+    // Near the cap, drops are decided one event at a time, in the order
+    // serial recording would have met them.
+    for (const TraceEvent& event : other.events_) {
+      if (events_.size() >= max_events_) {
+        ++dropped_;
+        continue;
+      }
+      events_.push_back(event, span_offset, run_offset);
+    }
   }
-  // Near the cap the per-event push path must decide drops one by one, in
-  // the same order the copying merge would — fall back to it.
-  merge_from(static_cast<const TraceRecorder&>(other));
-}
-
-void TraceRecorder::merge_metadata_from(const TraceRecorder& other) {
   // Advance the counters as if this recorder had issued other's ids itself,
   // so a later merge (or live emission) continues the same numbering the
   // serial interleaving would have used.
@@ -706,8 +698,9 @@ void append_args_object(std::string& out, const TraceArgs& args) {
   out += '}';
 }
 
-template <typename Range>
-void write_jsonl_impl(const Range& events, std::ostream& stream) {
+}  // namespace
+
+void write_jsonl(const EventBuffer& events, std::ostream& stream) {
   Sink sink(stream);
   std::string& out = sink.buf();
   for (const TraceEvent& event : events) {
@@ -732,24 +725,17 @@ void write_jsonl_impl(const Range& events, std::ostream& stream) {
   }
 }
 
-}  // namespace
-
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out) {
-  write_jsonl_impl(events, out);
-}
-
-void write_jsonl(const EventBuffer& events, std::ostream& out) {
-  write_jsonl_impl(events, out);
+  EventBuffer buffer;
+  for (const TraceEvent& event : events) buffer.push_back(event);
+  write_jsonl(buffer, out);
 }
 
 void TraceRecorder::write_jsonl(std::ostream& out) const {
-  write_jsonl_impl(events_, out);
+  obs::write_jsonl(events_, out);
 }
 
-namespace {
-
-template <typename Range>
-void write_chrome_trace_impl(const Range& events, std::ostream& stream) {
+void write_chrome_trace(const EventBuffer& events, std::ostream& stream) {
   // Tracks map to Chrome thread ids within the run's process; name them via
   // metadata events so the viewer shows "fd", "rec", ... instead of numbers.
   std::map<std::pair<std::uint64_t, std::uint32_t>, int> tids;
@@ -807,18 +793,8 @@ void write_chrome_trace_impl(const Range& events, std::ostream& stream) {
   out += "]}\n";
 }
 
-}  // namespace
-
-void write_chrome_trace(const std::vector<TraceEvent>& events, std::ostream& out) {
-  write_chrome_trace_impl(events, out);
-}
-
-void write_chrome_trace(const EventBuffer& events, std::ostream& out) {
-  write_chrome_trace_impl(events, out);
-}
-
 void TraceRecorder::write_chrome_trace(std::ostream& out) const {
-  write_chrome_trace_impl(events_, out);
+  obs::write_chrome_trace(events_, out);
 }
 
 // --- JSONL import ---------------------------------------------------------
@@ -913,6 +889,45 @@ bool parse_number(Cursor& c, std::string& out) {
   return !out.empty();
 }
 
+bool all_digits(std::string_view s) {
+  return !s.empty() &&
+         std::all_of(s.begin(), s.end(), [](char ch) { return ch >= '0' && ch <= '9'; });
+}
+
+/// The emit-side arg that exports as exactly `text`: an unsigned, signed or
+/// fixed number when formatting that number gives back the same text, the
+/// string itself otherwise (leading zeros, "-0", more digits than a double
+/// holds, anything not a plain decimal).
+Arg typed_arg(std::string_view key, std::string_view text) {
+  const bool negative = text.starts_with('-');
+  const std::string_view digits = text.substr(negative ? 1 : 0);
+  const std::size_t point = digits.find('.');
+  if (!all_digits(digits.substr(0, point))) return {key, text};
+  std::string formatted;
+  if (point == std::string_view::npos) {
+    std::int64_t signed_value = 0;
+    std::uint64_t unsigned_value = 0;
+    if (negative && parse_whole(text, signed_value)) {
+      append_i64(formatted, signed_value);
+      if (formatted == text) return {key, signed_value};
+    } else if (!negative && parse_whole(text, unsigned_value)) {
+      append_u64(formatted, unsigned_value);
+      if (formatted == text) return {key, unsigned_value};
+    }
+    return {key, text};
+  }
+  const std::string_view fraction = digits.substr(point + 1);
+  double value = 0.0;
+  if (!all_digits(fraction) || fraction.size() > std::numeric_limits<std::uint8_t>::max() ||
+      !parse_whole(text, value)) {
+    return {key, text};
+  }
+  const int precision = static_cast<int>(fraction.size());
+  append_fixed(formatted, value, precision);
+  if (formatted == text) return {key, Fixed{value, precision}};
+  return {key, text};
+}
+
 bool parse_args(Cursor& c, std::vector<TraceArg>& out) {
   if (!c.eat('{')) return false;
   c.skip_ws();
@@ -923,7 +938,7 @@ bool parse_args(Cursor& c, std::vector<TraceArg>& out) {
     if (!parse_string(c, key)) return false;
     if (!c.eat(':')) return false;
     if (!parse_string(c, value)) return false;
-    out.emplace_back(key, value);
+    out.emplace_back(typed_arg(key, value));
     if (c.eat('}')) return true;
     if (!c.eat(',')) return false;
   }
@@ -974,13 +989,13 @@ bool parse_event(std::string_view line, TraceEvent& event) {
 
 }  // namespace
 
-std::vector<TraceEvent> read_jsonl(std::istream& in) {
-  std::vector<TraceEvent> events;
+EventBuffer read_jsonl(std::istream& in) {
+  EventBuffer events;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     TraceEvent event;
-    if (parse_event(line, event)) events.push_back(std::move(event));
+    if (parse_event(line, event)) events.push_back(event);
   }
   return events;
 }

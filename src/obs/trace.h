@@ -193,9 +193,9 @@ class TraceArg {
   Label text() const {
     return type_ == ArgType::kString ? Label::from_id(label_id()) : Label();
   }
-  /// Integer value: typed integers directly, string values parsed (traces
-  /// read back from JSONL carry every value as a string). False if the
-  /// value is not a non-negative integer.
+  /// Integer value: typed integers directly, string values parsed (an emit
+  /// site may pass a number as text). False if the value is not a
+  /// non-negative integer.
   bool to_u64(std::uint64_t& out) const;
   /// Numeric value: typed numbers directly (full precision), string values
   /// parsed. False if the value is not a number.
@@ -390,18 +390,17 @@ class TraceRecorder {
   std::uint64_t dropped() const { return dropped_; }
   void clear();
 
-  /// Append another recorder's events and drop count,
-  /// rebasing its run indices and span ids past everything this recorder
-  /// has issued — exactly the numbering a serial interleaving (this
-  /// recorder recording `other`'s trials after its own) would have
-  /// produced. Merging per-trial recorders in trial order therefore yields
-  /// a byte-identical export regardless of how many threads recorded them
-  /// (the parallel runner's determinism contract, src/exp/runner.h).
-  void merge_from(const TraceRecorder& other);
-  /// Destructive merge: same semantics and resulting bytes, but when the
-  /// events fit under the cap they are rebased in place and spliced over
-  /// chunk-wise — no per-event copies. The parallel runner uses this on its
-  /// per-trial recorders, which are dead after the merge anyway.
+  /// Take over another recorder's events and drop count, rebasing its run
+  /// indices and span ids past everything this recorder has issued —
+  /// exactly the numbering a serial interleaving (this recorder recording
+  /// `other`'s trials after its own) would have produced. Merging
+  /// per-trial recorders in trial order therefore yields a byte-identical
+  /// export regardless of how many threads recorded them (the parallel
+  /// runner's determinism contract, src/exp/runner.h). When the events fit
+  /// under the cap they are rebased in place and spliced over block-wise,
+  /// with no per-event work; otherwise they are copied one by one and those
+  /// past the cap dropped, as serial recording would have dropped them.
+  /// `other` is dead afterwards.
   void merge_from(TraceRecorder&& other);
 
   /// Per-event simulator tracing ("sim" category) is opt-in: a busy run
@@ -426,10 +425,6 @@ class TraceRecorder {
   void push(double t, EventKind kind, const SpanLabels& labels,
             std::uint64_t span, Args args);
 
-  /// Merge bookkeeping shared by both merge_from overloads (span/run
-  /// counters and drop counts).
-  void merge_metadata_from(const TraceRecorder& other);
-
   std::size_t max_events_;
   bool sim_events_ = false;
   std::uint64_t next_span_ = 1;
@@ -440,22 +435,27 @@ class TraceRecorder {
   std::unordered_map<std::uint64_t, SpanLabels> open_spans_;
 };
 
-/// Serialize an event list in the JSONL schema (one object per line);
-/// TraceRecorder::write_jsonl delegates here. Useful for event lists that
-/// no longer live in a recorder (run_trial_traced captures, checker tests).
-void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
+/// Serialize an event log in the JSONL schema (one object per line);
+/// TraceRecorder::write_jsonl delegates here.
 void write_jsonl(const EventBuffer& events, std::ostream& out);
 
-/// Chrome trace-event JSON for an event list; TraceRecorder's member and
+/// Chrome trace-event JSON for an event log; TraceRecorder's member and
 /// `mercury_ctl chrome` (over a read_jsonl'd file) delegate here.
-void write_chrome_trace(const std::vector<TraceEvent>& events, std::ostream& out);
 void write_chrome_trace(const EventBuffer& events, std::ostream& out);
 
-/// Parse events back from the JSONL export (the subset write_jsonl emits).
-/// Malformed lines are skipped. Args come back string-typed. Round-trip
-/// property: write_jsonl then read_jsonl then write_jsonl reproduces the
-/// bytes exactly.
-std::vector<TraceEvent> read_jsonl(std::istream& in);
+/// Parse events back from the JSONL export (the subset write_jsonl emits)
+/// into the same compact form a live recorder keeps. Malformed lines are
+/// skipped. An arg value comes back as an unsigned, signed or fixed number
+/// when formatting that number gives back exactly its text, and as a string
+/// label otherwise, so per-event numbers (fault ids, timings) never enter
+/// the intern pool. Round-trip property: write_jsonl then read_jsonl then
+/// write_jsonl reproduces the bytes exactly.
+EventBuffer read_jsonl(std::istream& in);
+
+// Kept only because the frozen end-to-end benchmark (perfbench/) calls it
+// on station::TracedTrial::events; every other consumer takes an
+// EventBuffer. The vector is copied into one first.
+void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
 
 // --- Thread-local recorder ------------------------------------------------
 // Instrumented code calls the free functions below; they no-op (fast) while

@@ -116,11 +116,9 @@ struct RunFacts {
   std::map<std::uint64_t, std::pair<Label, double>> open_faults;
 };
 
-/// Shared body of both check_trace overloads; `Range` is any forward range
-/// of TraceEvent (flat vector or chunked EventBuffer).
-template <typename Range>
-std::vector<TraceIssue> check_trace_impl(const Range& events,
-                                         const CheckOptions& options) {
+}  // namespace
+
+std::vector<TraceIssue> check_trace(const EventBuffer& events) {
   const Names& n = names();
   std::vector<TraceIssue> issues;
   const auto flag = [&](std::string invariant, std::uint64_t run,
@@ -310,8 +308,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
     const bool resolved =
         facts.has_recovered || facts.has_parked || facts.has_hard_failure;
-    if (!resolved && facts.first_manifest_t.has_value() &&
-        options.require_resolution) {
+    if (!resolved && facts.first_manifest_t.has_value()) {
       flag("lost-kill", run, runs.at(run).open_faults.empty()
                                  ? std::string()
                                  : runs.at(run).open_faults.begin()->second.first.str(),
@@ -373,16 +370,10 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
   return issues;
 }
 
-}  // namespace
-
-std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events,
-                                    const CheckOptions& options) {
-  return check_trace_impl(events, options);
-}
-
-std::vector<TraceIssue> check_trace(const EventBuffer& events,
-                                    const CheckOptions& options) {
-  return check_trace_impl(events, options);
+std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events) {
+  EventBuffer buffer;
+  for (const TraceEvent& event : events) buffer.push_back(event);
+  return check_trace(buffer);
 }
 
 std::string describe(const std::vector<TraceIssue>& issues) {

@@ -67,12 +67,6 @@
 
 namespace mercury::obs {
 
-struct CheckOptions {
-  /// Require every harness trial to end recovered-or-parked. Benches that
-  /// deliberately drive trials into timeouts may turn this off.
-  bool require_resolution = true;
-};
-
 struct TraceIssue {
   std::string invariant;  ///< "overlapping-restart" | "epoch-regression" |
                           ///< "phase-sum" | "lost-kill" | "open-restart" |
@@ -85,11 +79,12 @@ struct TraceIssue {
 
 /// Validate `events` (in emission order, as recorded or re-read from
 /// JSONL). Returns every violation found; empty means the trace is clean.
-/// The EventBuffer overload checks a live recorder's chunked log in place.
-std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events,
-                                    const CheckOptions& options = {});
-std::vector<TraceIssue> check_trace(const EventBuffer& events,
-                                    const CheckOptions& options = {});
+std::vector<TraceIssue> check_trace(const EventBuffer& events);
+
+// Kept only because the frozen end-to-end benchmark (perfbench/) calls it
+// on station::TracedTrial::events; every other consumer takes an
+// EventBuffer. The vector is copied into one first.
+std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events);
 
 /// One line per issue, for bench/test output.
 std::string describe(const std::vector<TraceIssue>& issues);

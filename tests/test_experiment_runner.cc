@@ -15,7 +15,6 @@
 
 #include "core/mercury_trees.h"
 #include "exp/runner.h"
-#include "exp/seed_stream.h"
 #include "obs/trace.h"
 #include "station/experiment.h"
 
@@ -65,16 +64,16 @@ TEST(EnvJobs, ParsesPositiveIntegersOnly) {
   }
 }
 
-TEST(ExperimentRunner, JobsResolutionPrefersConfigThenEnv) {
+TEST(ExperimentRunner, JobsResolutionPrefersEnvThenHardware) {
   JobsEnv env("3");
-  EXPECT_EQ(ExperimentRunner(RunnerConfig{.jobs = 5}).jobs(), 5);
   EXPECT_EQ(ExperimentRunner().jobs(), 3);
   JobsEnv cleared(nullptr);
   EXPECT_EQ(ExperimentRunner().jobs(), hardware_jobs());
 }
 
 TEST(ExperimentRunner, MapReturnsResultsInIndexOrder) {
-  ExperimentRunner runner(RunnerConfig{.jobs = 7});
+  JobsEnv env("7");
+  ExperimentRunner runner;
   const std::vector<std::size_t> doubled =
       runner.map(100, [](TrialContext& ctx) { return ctx.index * 2; });
   ASSERT_EQ(doubled.size(), 100u);
@@ -83,25 +82,9 @@ TEST(ExperimentRunner, MapReturnsResultsInIndexOrder) {
   }
 }
 
-TEST(ExperimentRunner, SeedsFollowTheConfiguredStream) {
-  ExperimentRunner derived(RunnerConfig{.jobs = 4, .master_seed = 42});
-  const SeedStream stream(42);
-  const auto seeds =
-      derived.map(32, [](TrialContext& ctx) { return ctx.seed; });
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(seeds[i], stream.trial_seed(i));
-  }
-
-  ExperimentRunner plain(RunnerConfig{.jobs = 4});
-  const auto indices =
-      plain.map(8, [](TrialContext& ctx) { return ctx.seed; });
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(indices[i], i);
-  }
-}
-
 TEST(ExperimentRunner, FirstExceptionByIndexIsRethrownAfterAllTrialsRun) {
-  ExperimentRunner runner(RunnerConfig{.jobs = 4});
+  JobsEnv env("4");
+  ExperimentRunner runner;
   std::atomic<int> completed{0};
   try {
     runner.run(16, [&completed](TrialContext& ctx) {
@@ -117,10 +100,11 @@ TEST(ExperimentRunner, FirstExceptionByIndexIsRethrownAfterAllTrialsRun) {
 }
 
 TEST(ExperimentRunner, TrialsGetPrivateRecordersOnlyUnderAnAmbientOne) {
-  ExperimentRunner runner(RunnerConfig{.jobs = 4});
+  JobsEnv env("4");
+  ExperimentRunner runner;
   // No ambient recorder on this thread: capture off.
   const auto without =
-      runner.map(8, [](TrialContext& ctx) { return ctx.recorder != nullptr; });
+      runner.map(8, [](TrialContext&) { return obs::recorder() != nullptr; });
   for (const bool captured : without) EXPECT_FALSE(captured);
 
   obs::TraceRecorder ambient;
@@ -128,13 +112,14 @@ TEST(ExperimentRunner, TrialsGetPrivateRecordersOnlyUnderAnAmbientOne) {
   std::set<const obs::TraceRecorder*> distinct;
   std::mutex mutex;
   runner.run(8, [&](TrialContext& ctx) {
-    ASSERT_NE(ctx.recorder, nullptr);
-    EXPECT_EQ(obs::recorder(), ctx.recorder);  // installed on this thread
+    obs::TraceRecorder* const own = obs::recorder();  // installed on this thread
+    ASSERT_NE(own, nullptr);
+    EXPECT_NE(own, &ambient);
     obs::instant(util::TimePoint::origin() + util::Duration::seconds(1.0),
                  "sim", "probe", "test",
                  {{"index", std::to_string(ctx.index)}});
     const std::lock_guard<std::mutex> lock(mutex);
-    distinct.insert(ctx.recorder);
+    distinct.insert(own);
   });
   EXPECT_EQ(distinct.size(), 8u);          // one private recorder per trial
   EXPECT_EQ(ambient.events().size(), 8u);  // all merged back, index order
@@ -322,7 +307,7 @@ TEST(ExperimentRunner, ConcurrentTrialsNeverInterleaveTraceFileWrites) {
   EXPECT_EQ(lines, expected_events);  // one object per line, none torn
 
   std::ifstream reparse(path);
-  const std::vector<obs::TraceEvent> reread = obs::read_jsonl(reparse);
+  const obs::EventBuffer reread = obs::read_jsonl(reparse);
   EXPECT_EQ(reread.size(), expected_events);  // every line parses
 }
 

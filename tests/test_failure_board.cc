@@ -415,8 +415,9 @@ TEST(FailureBoard, RandomizedDifferentialAgainstPerFailureMaskModel) {
         spec = make_crash(pick());
       } else if (shape == 1) {
         spec = make_stale_attachment(pick());
-      } else if (shape == 2) {
-        spec = make_joint(pick(), {pick(), pick()});
+      } else if (shape == 2) {  // make_joint requires the manifest in the cure set
+        const std::string manifest = pick();
+        spec = make_joint(manifest, {manifest, pick(), pick()});
       } else {  // repeated members, unsorted, maybe soft-curable
         spec.manifest = pick();
         spec.cure_set = {pick(), spec.manifest, pick(), spec.manifest};

@@ -335,32 +335,6 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
   EXPECT_GT(expected_dropped, 0u);
 }
 
-TEST(TraceRecorder, DestructiveMergeMatchesCopyingMergeByteForByte) {
-  const auto fill = [](TraceRecorder& rec) {
-    rec.next_run();
-    const std::uint64_t span = rec.begin(1.0, "recover", "rec.restart", "rec",
-                                         {{"component", "ses"}});
-    rec.instant(1.5, "detect", "fd.report", "fd");
-    rec.end(2.0, span);
-  };
-  TraceRecorder copied;
-  TraceRecorder spliced;
-  for (int trial = 0; trial < 3; ++trial) {
-    TraceRecorder a;
-    fill(a);
-    copied.merge_from(a);  // per-event copying merge
-    TraceRecorder b;
-    fill(b);
-    spliced.merge_from(std::move(b));  // chunk-splice merge
-  }
-  std::ostringstream copied_out;
-  copied.write_jsonl(copied_out);
-  std::ostringstream spliced_out;
-  spliced.write_jsonl(spliced_out);
-  EXPECT_EQ(copied_out.str(), spliced_out.str());
-  EXPECT_EQ(copied.run(), spliced.run());
-}
-
 TEST(TraceExport, JsonlRoundTripReproducesEvents) {
   TraceRecorder rec;
   rec.instant(0.25, "fault", "fault.manifest", "board",
@@ -376,7 +350,7 @@ TEST(TraceExport, JsonlRoundTripReproducesEvents) {
   std::ostringstream out;
   rec.write_jsonl(out);
   std::istringstream in(out.str());
-  const std::vector<TraceEvent> back = read_jsonl(in);
+  const EventBuffer back = read_jsonl(in);
 
   ASSERT_EQ(back.size(), rec.events().size());
   for (std::size_t i = 0; i < back.size(); ++i) {
@@ -509,6 +483,56 @@ TEST(TraceExport, ReadJsonlDecodesValidUnicodeEscapes) {
   const auto events = read_jsonl(in);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "café \u2713");
+}
+
+/// One JSONL line with the given args object body.
+std::string jsonl_line(const std::string& args) {
+  return "{\"t\":1,\"ph\":\"i\",\"cat\":\"fault\",\"name\":\"x\",\"track\":\"t\","
+         "\"span\":0,\"run\":0,\"args\":{" + args + "}}\n";
+}
+
+TEST(TraceExport, ReadJsonlTypesNumbersOnlyWhenTheTextComesBackExactly) {
+  // Each value is read as the typed number whose formatting reproduces its
+  // text, or kept as a string; either way it re-exports byte for byte.
+  const std::vector<std::pair<std::string, bool>> values = {
+      {"0", true},          {"42", true},        {"18446744073709551615", true},
+      {"-1", true},         {"-9223372036854775808", true},
+      {"0.250", true},      {"21.123457", true}, {"-0.500", true},
+      {"3.0", true},        {"ses", false},
+      {"007", false},       {"-0", false},       {"+5", false},
+      {"1e5", false},       {"1.", false},       {".5", false},
+      {"18446744073709551616", false},           {"-9223372036854775809", false},
+      {"0.1000000000000000000001", false},       {"inf", false},
+      {"1,2", false},       {"R_[ses,str]", false}};
+  std::string text;
+  for (const auto& [value, typed] : values) text += jsonl_line("\"v\":\"" + value + "\"");
+  std::istringstream in(text);
+  const EventBuffer events = read_jsonl(in);
+  ASSERT_EQ(events.size(), values.size());
+  std::size_t i = 0;
+  for (const TraceEvent& event : events) {
+    const auto& [value, typed] = values[i++];
+    ASSERT_EQ(event.args.size(), 1u);
+    EXPECT_EQ(event.args[0].value(), value);
+    EXPECT_EQ(event.args[0].text().empty(), typed) << value;
+  }
+  EXPECT_EQ(jsonl_of(events), text);
+}
+
+TEST(TraceFootprint, ReadingPerEventIdsDoesNotGrowTheInternPool) {
+  // The Label contract: only a bounded vocabulary is interned. A trace's
+  // per-event values (fault ids, timings) read back as numbers.
+  std::string text;
+  for (std::uint64_t id = 0; id < 10'000; ++id) {
+    text += jsonl_line("\"id\":\"" + std::to_string(7'300'000'000 + id) +
+                       "\",\"delay_s\":\"" + util::format_fixed(0.001 * id, 3) + "\"");
+  }
+  const std::size_t before = interned_label_count();
+  std::istringstream in(text);
+  const EventBuffer events = read_jsonl(in);
+  ASSERT_EQ(events.size(), 10'000u);
+  EXPECT_LT(interned_label_count() - before, 100u);
+  EXPECT_EQ(jsonl_of(events), text);
 }
 
 TEST(TraceExport, ChromeTraceIsWellFormed) {
@@ -823,7 +847,7 @@ std::string golden_file(const std::string& suffix) {
 
 std::string golden_jsonl() { return golden_file(".trace.jsonl"); }
 
-std::vector<TraceEvent> golden_events() {
+EventBuffer golden_events() {
   std::istringstream in(golden_jsonl());
   return read_jsonl(in);
 }
@@ -832,7 +856,7 @@ TEST(TraceExport, GoldenJsonlRereadAndRewrittenIsByteIdentical) {
   const std::string golden = golden_jsonl();
   ASSERT_FALSE(golden.empty()) << "golden_batch.trace.jsonl";
   std::istringstream in(golden);
-  const std::vector<TraceEvent> events = read_jsonl(in);
+  const EventBuffer events = read_jsonl(in);
   ASSERT_FALSE(events.empty());
   std::ostringstream rewritten;
   write_jsonl(events, rewritten);
@@ -861,7 +885,7 @@ std::vector<std::string> lines_of(const std::string& text) {
 }
 
 TEST(Narrate, WritesOneLinePerEvent) {
-  const std::vector<TraceEvent> events = golden_events();
+  const EventBuffer events = golden_events();
   ASSERT_FALSE(events.empty());
   const std::vector<std::string> lines = lines_of(narrate(events));
   ASSERT_EQ(lines.size(), events.size());
@@ -875,7 +899,7 @@ TEST(Narrate, WritesOneLinePerEvent) {
 }
 
 TEST(Narrate, TimestampsNeverDecreaseWithinARun) {
-  const std::vector<TraceEvent> events = golden_events();
+  const EventBuffer events = golden_events();
   const std::vector<std::string> lines = lines_of(narrate(events));
   ASSERT_EQ(lines.size(), events.size());
   std::map<std::uint64_t, double> last_of_run;
@@ -892,7 +916,7 @@ TEST(Narrate, TimestampsNeverDecreaseWithinARun) {
 }
 
 TEST(Narrate, RestartEndLinesCarryDurationAndOutcome) {
-  const std::vector<TraceEvent> events = golden_events();
+  const EventBuffer events = golden_events();
   const std::vector<std::string> lines = lines_of(narrate(events));
   ASSERT_EQ(lines.size(), events.size());
   std::map<std::uint64_t, double> begun_at;
@@ -961,30 +985,45 @@ TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
   for (std::size_t i = 0; i < tags.size(); ++i) {
     record_trial(serial, tags[i], static_cast<int>(i));
   }
-  TraceRecorder copied;
-  TraceRecorder spliced;
+  TraceRecorder merged;
   for (std::size_t i = 0; i < tags.size(); ++i) {
-    TraceRecorder a;
-    record_trial(a, tags[i], static_cast<int>(i));
-    copied.merge_from(a);
-    TraceRecorder b;
-    record_trial(b, tags[i], static_cast<int>(i));
-    spliced.merge_from(std::move(b));
+    TraceRecorder trial;
+    record_trial(trial, tags[i], static_cast<int>(i));
+    merged.merge_from(std::move(trial));
   }
-  const auto jsonl = [](const TraceRecorder& rec) {
-    std::ostringstream out;
-    rec.write_jsonl(out);
-    return out.str();
-  };
   const auto chrome = [](const TraceRecorder& rec) {
     std::ostringstream out;
     rec.write_chrome_trace(out);
     return out.str();
   };
-  EXPECT_EQ(jsonl(copied), jsonl(serial));
-  EXPECT_EQ(jsonl(spliced), jsonl(serial));
-  EXPECT_EQ(chrome(copied), chrome(serial));
-  EXPECT_EQ(chrome(spliced), chrome(serial));
+  EXPECT_EQ(jsonl_of(merged.events()), jsonl_of(serial.events()));
+  EXPECT_EQ(chrome(merged), chrome(serial));
+  EXPECT_EQ(merged.run(), serial.run());
+}
+
+TEST(TraceRecorder, MergeAcrossTheEventCapMatchesCappedSerialRecording) {
+  // Per-trial recorders merged into a capped recorder must keep and drop
+  // exactly the events serial recording into that cap would: a merge that
+  // fits is spliced, one that crosses the cap is copied event by event.
+  // Five merged trials and one live one, four events each; the caps from
+  // empty to exactly full put the seam before, inside and after a trial.
+  const std::vector<std::string> tags = {"alpha", "beta", "gamma", "alpha", "delta"};
+  for (std::size_t cap = 0; cap <= 24; ++cap) {
+    TraceRecorder serial(cap);
+    TraceRecorder merged(cap);
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      record_trial(serial, tags[i], static_cast<int>(i));
+      TraceRecorder trial;
+      record_trial(trial, tags[i], static_cast<int>(i));
+      merged.merge_from(std::move(trial));
+    }
+    // Live recording after the merges continues the same numbering.
+    record_trial(serial, "after", 9);
+    record_trial(merged, "after", 9);
+    EXPECT_EQ(jsonl_of(merged.events()), jsonl_of(serial.events())) << "cap " << cap;
+    EXPECT_EQ(merged.dropped(), serial.dropped()) << "cap " << cap;
+    EXPECT_EQ(merged.events().size(), std::min<std::size_t>(cap, 24)) << "cap " << cap;
+  }
 }
 
 /// What `days` of the Table-1 station record.

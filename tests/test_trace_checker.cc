@@ -272,11 +272,6 @@ TEST(TraceChecker, FlagsLostKill) {
   auto issues = check_trace(lost);
   EXPECT_EQ(count(issues, "lost-kill"), 1) << describe(issues);
 
-  // Benches that deliberately drive trials into timeouts may opt out.
-  CheckOptions tolerant;
-  tolerant.require_resolution = false;
-  EXPECT_TRUE(check_trace(lost, tolerant).empty());
-
   // A recovered trial whose injected fault was never individually cured is
   // also a lost kill: the harness saw readiness but the board still holds
   // the fault.
@@ -417,7 +412,7 @@ TEST(TraceChecker, GoldenTraceSurvivesJsonlRoundTrip) {
       station::run_trial_traced(quick_spec("str"));
   std::stringstream buffer;
   write_jsonl(traced.events, buffer);
-  const std::vector<TraceEvent> reread = read_jsonl(buffer);
+  const EventBuffer reread = read_jsonl(buffer);
   ASSERT_EQ(reread.size(), traced.events.size());
   const auto issues = check_trace(reread);
   EXPECT_TRUE(issues.empty()) << describe(issues);
