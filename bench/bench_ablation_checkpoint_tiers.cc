@@ -83,9 +83,6 @@ TrialSpec make_spec(const std::string& victim, const Scheme& scheme,
   spec.oracle = OracleKind::kHeuristic;
   spec.fail_component = victim;
   spec.seed = seed;
-  // Hardened everywhere: a poisoned warm start is a restart-path fault and
-  // only the restart deadline notices it (ISSUE 2 / ISSUE 3 precedent).
-  spec.harden_restart_path = true;
   spec.enable_checkpoints = scheme.checkpoints;
   spec.checkpoint_l1 = scheme.l1;
   spec.checkpoint_l2 = scheme.l2;

@@ -11,9 +11,9 @@
 // outcome than having no checkpoint at all.
 //
 // Grid: {tree II, tree IV} x {fedrcom|pbcom, ses} x
-//       {cold, warm, corrupt, poison, stale}, >= 25 seeds per cell, all
-// rows hardened (ISSUE 2): the poisoned warm attempt crashes mid-startup
-// and only the restart deadline notices.
+//       {cold, warm, corrupt, poison, stale}, >= 25 seeds per cell. The
+// poison row relies on the restart deadline every trial runs: the
+// poisoned warm attempt crashes mid-startup and only the deadline notices.
 //
 // Asserted invariants:
 //   * warm mean recovery strictly below cold mean for every (tree, victim);
@@ -65,10 +65,6 @@ TrialSpec make_spec(MercuryTree tree, const std::string& victim,
   spec.oracle = OracleKind::kHeuristic;
   spec.fail_component = victim;
   spec.seed = seed;
-  // All rows hardened: the damage rows need the restart deadline (a
-  // poisoned warm start is a restart-path fault), and ISSUE 2 showed
-  // hardening is a no-op on clean trials.
-  spec.harden_restart_path = true;
   spec.enable_checkpoints = mode.checkpoints;
   spec.checkpoint_damage = mode.damage;
   spec.timeout = mercury::util::Duration::seconds(300.0);

@@ -54,7 +54,7 @@ struct FaultMix {
 
 std::vector<FaultMix> fault_mixes() {
   std::vector<FaultMix> mixes;
-  // Control: clean restarts. Hardening must not change the outcome.
+  // Control: clean restarts, on which the hardening never acts.
   mixes.push_back({"clean", {}, {}});
   // Deterministic single hang: first restart attempt of the failed
   // component hangs; the deadline must abort it and escalation recover.
@@ -104,7 +104,6 @@ TrialSpec make_spec(MercuryTree tree, const FaultMix& mix, std::uint64_t seed) {
   spec.fail_component = "rtu";
   spec.mode = FailureMode::kCrash;
   spec.seed = seed;
-  spec.harden_restart_path = true;
   spec.max_attempts_per_chain = 5;
   // Generous: parking a pathological chain takes up to budget x (deadline +
   // backoff) of simulated time.

@@ -3,25 +3,9 @@
 #include <algorithm>
 
 #include "core/restart_tree.h"
+#include "util/hash.h"
 
 namespace mercury::core {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv1a_mix(std::uint64_t& hash, std::string_view bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  // Field separator, so {"ab","c"} and {"a","bc"} hash differently.
-  hash ^= 0xFFu;
-  hash *= kFnvPrime;
-}
-
-}  // namespace
 
 std::string_view to_string(CheckpointVerdict verdict) {
   switch (verdict) {
@@ -35,12 +19,16 @@ std::string_view to_string(CheckpointVerdict verdict) {
 }
 
 std::uint64_t checkpoint_checksum(const Checkpoint& checkpoint) {
-  std::uint64_t hash = kFnvOffset;
-  fnv1a_mix(hash, checkpoint.component);
-  fnv1a_mix(hash, std::to_string(checkpoint.version));
+  std::uint64_t hash = util::kFnv1aBasis;
+  // Each field ends in a 0xFF separator, so {"ab","c"} and {"a","bc"} differ.
+  const auto mix = [&hash](std::string_view field) {
+    hash = util::fnv1a("\xFF", util::fnv1a(field, hash));
+  };
+  mix(checkpoint.component);
+  mix(std::to_string(checkpoint.version));
   for (const auto& [key, value] : checkpoint.payload) {
-    fnv1a_mix(hash, key);
-    fnv1a_mix(hash, value);
+    mix(key);
+    mix(value);
   }
   return hash;
 }

@@ -21,6 +21,10 @@ constexpr Duration kRootRetryWindow = Duration::seconds(90.0);
 /// REC's watch over FD (§2.2): ping period and pong timeout.
 constexpr Duration kFdPingPeriod = Duration::seconds(1.0);
 constexpr Duration kFdPingTimeout = Duration::millis(300.0);
+/// Same-cell backoff shape; RecConfig::backoff_base sets its scale.
+constexpr double kBackoffFactor = 2.0;
+constexpr Duration kBackoffCap = Duration::seconds(30.0);
+constexpr Duration kBackoffDecay = Duration::seconds(60.0);
 }  // namespace
 
 const char* to_string(DispatchMode mode) {
@@ -463,21 +467,18 @@ void Recoverer::execute(Action restart) {
   Duration delay = Duration::zero();
   if (config_.backoff_base > Duration::zero()) {
     CellBackoff& backoff = backoff_[restart.node];
-    // Gradual decay: each full quiet backoff_decay forgets one streak step,
+    // Gradual decay: each full quiet kBackoffDecay forgets one streak step,
     // so a long-idle cell climbs back down instead of snapping to zero.
-    if (backoff.streak > 0 && config_.backoff_decay > Duration::zero()) {
+    if (backoff.streak > 0) {
       const int steps = static_cast<int>((sim_.now() - backoff.last).to_seconds() /
-                                         config_.backoff_decay.to_seconds());
+                                         kBackoffDecay.to_seconds());
       backoff.streak = std::max(0, backoff.streak - steps);
     }
     if (backoff.streak > 0) {
-      // Clamped to [base, cap] on every path: neither decay nor a sub-unity
-      // factor may pace attempts tighter than base.
       const double wait_s =
-          std::clamp(config_.backoff_base.to_seconds() *
-                         std::pow(config_.backoff_factor, backoff.streak - 1),
-                     config_.backoff_base.to_seconds(),
-                     config_.backoff_cap.to_seconds());
+          std::min(config_.backoff_base.to_seconds() *
+                       std::pow(kBackoffFactor, backoff.streak - 1),
+                   kBackoffCap.to_seconds());
       const util::TimePoint allowed = backoff.last + Duration::seconds(wait_s);
       if (allowed > sim_.now()) delay = allowed - sim_.now();
     }

@@ -31,10 +31,9 @@
 //     worst-case contended startup plus margin) aborts a hung restart —
 //     ProcessControl implementations supersede the stale attempt on the next
 //     restart_group — and escalates it like a persisting failure;
-//   * exponential backoff (base/factor/cap, with gradual decay) paces
-//     successive restart attempts of the same cell, so a crash-looping
-//     startup cannot become a restart storm; the interval is clamped to
-//     [base, cap] on every path, decay included;
+//   * exponential backoff (a configured base, doubling up to a fixed cap,
+//     with gradual decay) paces successive restart attempts of the same
+//     cell, so a crash-looping startup cannot become a restart storm;
 //   * an attempt budget per failure chain feeds the existing hard-failure
 //     parking, and parked components are masked in FD *permanently*, so the
 //     station keeps operating degraded instead of detect/restart-looping.
@@ -110,24 +109,20 @@ struct RecConfig {
   DispatchMode dispatch = DispatchMode::kSerial;
 
   // --- Restart-path hardening (ISSUE 2) -----------------------------------
+  // Knobs because the two callers differ: the simulated rig runs all three;
+  // the POSIX supervisor runs a 2 s deadline only (see SupervisorConfig).
   /// Deadline for one restart action (kill -> every group member ready). A
   /// restart still in flight when it expires is abandoned and escalated like
   /// a persisting failure; the superseding restart re-kills the stragglers.
   /// Size it above the worst-case contended startup (the experiment rig uses
   /// the calibration's slowest component x full contention x margin). Zero
-  /// disables: legacy behavior, trust on_complete unconditionally.
+  /// disables: trust on_complete unconditionally.
   util::Duration restart_deadline = util::Duration::zero();
   /// Exponential backoff between successive restart attempts of the same
-  /// cell: attempt n of a streak starts no earlier than backoff_base *
-  /// backoff_factor^(n-1) after attempt n-1 began, clamped to
-  /// [backoff_base, backoff_cap]. Zero base disables.
+  /// cell: attempt n of a streak starts no earlier than min(backoff_base *
+  /// 2^(n-1), 30 s) after attempt n-1 began; each full quiet minute forgets
+  /// one streak step. Zero base disables.
   util::Duration backoff_base = util::Duration::zero();
-  double backoff_factor = 2.0;
-  util::Duration backoff_cap = util::Duration::seconds(30.0);
-  /// Streak decay: each full quiet backoff_decay forgets one streak step, so
-  /// a long-idle cell climbs back down gradually instead of keeping its worst
-  /// interval forever.
-  util::Duration backoff_decay = util::Duration::seconds(60.0);
   /// Restart attempts tolerated per failure chain (reactive actions only,
   /// timed-out attempts included) before the chain is parked as a hard
   /// failure. Zero disables (only max_root_restarts parks).

@@ -7,7 +7,7 @@
 // validates the same file *before* spawning and deletes it when invalid, so
 // a worker never warm-starts from garbage.
 //
-// Format v2 (single line, single space separators; payload is one token):
+// Format v3 (single line, single space separators; payload is one token):
 //
 //   MERCURY-CKPT <version> <name> <len> <payload> <fnv1a-checksum-hex>
 //
@@ -15,14 +15,13 @@
 // truncated file (power loss mid-write, full disk) is rejected by the cheap
 // length check without ever trusting the checksum arithmetic on a payload
 // that is not the payload that was written. The checksum covers
-// "<version> <name> <len> <payload>". Anything else — missing magic, wrong
-// version, name mismatch, length mismatch, malformed or wrong checksum,
-// extra tokens — is invalid. v1 files (no <len>) are invalid under v2 and
-// get deleted: one cold start per format migration, never a wrong warm one.
+// "<version> <name> <len> <payload>" (64-bit FNV-1a). Anything else — missing
+// magic, wrong version, name mismatch, length mismatch, malformed or wrong
+// checksum, extra tokens — is invalid. Older files (v1 had no <len>, v2 a
+// nonstandard FNV basis) get deleted: one cold start per format migration.
 //
-// Header-only and libc++-only on purpose: mercury_worker links no project
-// libraries, and supervisor and worker must agree on the format byte for
-// byte.
+// Header-only on purpose (util/hash.h is too): mercury_worker links no
+// project libraries, and supervisor and worker must agree on the format.
 #pragma once
 
 #include <unistd.h>
@@ -33,19 +32,12 @@
 #include <string>
 #include <string_view>
 
+#include "util/hash.h"
+
 namespace mercury::posix::ckpt {
 
-inline constexpr int kFileVersion = 2;
+inline constexpr int kFileVersion = 3;
 inline constexpr std::string_view kMagic = "MERCURY-CKPT";
-
-inline std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 struct CheckpointFile {
   int version = kFileVersion;
@@ -117,8 +109,8 @@ inline FileState read_checkpoint_file(const std::string& path,
   if (tokens[5].empty() || end == tokens[5].c_str() || *end != '\0') {
     return FileState::kInvalid;
   }
-  if (checksum != fnv1a(checksum_body(static_cast<int>(version), tokens[2],
-                                      tokens[4]))) {
+  if (checksum != util::fnv1a(checksum_body(static_cast<int>(version),
+                                            tokens[2], tokens[4]))) {
     return FileState::kInvalid;
   }
   if (out != nullptr) {
@@ -140,7 +132,7 @@ inline bool write_checkpoint_file(const std::string& path,
   std::FILE* file = std::fopen(temp.c_str(), "w");
   if (file == nullptr) return false;
   const std::uint64_t checksum =
-      fnv1a(checksum_body(kFileVersion, name, payload));
+      util::fnv1a(checksum_body(kFileVersion, name, payload));
   const int rc = std::fprintf(
       file, "%s %d %s %zu %s %llx\n", std::string(kMagic).c_str(),
       kFileVersion, name.c_str(), payload.size(), payload.c_str(),

@@ -67,7 +67,8 @@ struct WorkerSpec {
 /// REC's policy knobs (escalation window, root/attempt budgets, backoff,
 /// dispatch mode, traffic-driven queueing, restart deadline) come from the
 /// RecConfig base; the fields below belong to the pipe detector and the §7
-/// health policy.
+/// health policy. Of REC's hardening the supervisor runs only the deadline:
+/// a worker restarts in ~0.1 s, so any backoff base would dominate it.
 struct SupervisorConfig : core::RecConfig {
   /// The one startup deadline: REC abandons a restart action after it, and
   /// the detector reports a worker still starting after it outside any

@@ -118,14 +118,10 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
   rec_config.enable_soft_recovery = spec.enable_soft_recovery;
   rec_config.dispatch = spec.dispatch;
   rec_config.traffic_driven = spec.traffic_driven;
-  if (spec.harden_restart_path) {
-    // Same-cell backoff under hardening starts at half a second.
-    constexpr Duration kHardenedBackoffBase = Duration::seconds(0.5);
-    rec_config.restart_deadline =
-        hardened_restart_deadline(spec.cal, station_->component_names());
-    rec_config.backoff_base = kHardenedBackoffBase;
-    rec_config.max_attempts_per_chain = spec.max_attempts_per_chain;
-  }
+  rec_config.restart_deadline =
+      hardened_restart_deadline(spec.cal, station_->component_names());
+  rec_config.backoff_base = Duration::seconds(0.5);
+  rec_config.max_attempts_per_chain = spec.max_attempts_per_chain;
   for (const auto& [name, faults] : spec.restart_faults) {
     station_->set_restart_faults(name, faults);
   }

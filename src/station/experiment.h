@@ -75,14 +75,10 @@ struct TrialSpec {
   core::Oracle* oracle_override = nullptr;
 
   // --- Restart-path hardening & faults (ISSUE 2) --------------------------
-  /// Harden REC's restart path: per-restart deadline (sized from the
-  /// calibration's worst-case contended startup via
-  /// hardened_restart_deadline), exponential same-cell backoff, and an
-  /// attempt budget per failure chain. Off by default so legacy trials
-  /// reproduce the seed's numbers bit-for-bit.
-  bool harden_restart_path = false;
-  /// Attempt budget installed when hardening (restarts per failure chain
-  /// before parking as a hard failure).
+  // Every trial runs REC's hardened restart path: a per-restart deadline
+  // (hardened_restart_deadline), same-cell backoff from a 0.5 s base, and
+  // the attempt budget below. On a clean trial none of them acts.
+  /// Restarts per failure chain before REC parks it as a hard failure.
   int max_attempts_per_chain = 8;
   /// Restart-time faults installed on the board before the trial: each
   /// startup attempt of a listed component may hang or crash per its spec.
@@ -95,8 +91,8 @@ struct TrialSpec {
   bool enable_checkpoints = false;
   util::Duration checkpoint_ttl = util::Duration::minutes(10.0);
   /// Damage applied to the failed component's checkpoint at injection time
-  /// (kPoison needs harden_restart_path: the warm attempt crashes and only
-  /// the restart deadline notices; kKill drops the tier's copy outright).
+  /// (kPoison: the warm attempt crashes and only the restart deadline
+  /// notices; kKill drops the tier's copy outright).
   enum class CheckpointDamage { kNone, kCorrupt, kPoison, kStale, kKill };
   /// Targets the victim's *local* (L0) snapshot.
   CheckpointDamage checkpoint_damage = CheckpointDamage::kNone;
@@ -154,7 +150,7 @@ struct TrialSpec {
   bool traffic_driven = false;
 };
 
-/// Deadline for one restart action under hardening: the calibration's worst
+/// Deadline for one restart action in a trial: the calibration's worst
 /// component startup (mean + 3 sigma) under full-system contention, with a
 /// 1.5x margin. A correct restart essentially never trips it; a hung one
 /// always does.
@@ -167,9 +163,9 @@ struct TrialResult {
   int escalations = 0;
   bool hard_failure = false;
   bool timed_out = false;
-  /// Restart actions abandoned by the per-restart deadline (hardened runs).
+  /// Restart actions abandoned by the per-restart deadline.
   int restart_timeouts = 0;
-  /// Restart attempts delayed by same-cell backoff (hardened runs).
+  /// Restart attempts delayed by same-cell backoff.
   int backoffs = 0;
   /// Components REC parked and permanently masked; non-empty implies
   /// hard_failure and the station ended the trial operating degraded.

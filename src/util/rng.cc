@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/hash.h"
+
 namespace mercury::util {
 namespace {
 
@@ -16,16 +18,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// FNV-1a over the tag, used to make fork(tag) depend on the tag text.
-std::uint64_t hash_tag(std::string_view tag) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : tag) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -128,7 +120,7 @@ Duration Rng::exponential(Duration mean) {
 
 Rng Rng::fork(std::string_view tag) {
   const std::uint64_t mix =
-      next_u64() ^ hash_tag(tag) ^ (0x9e3779b97f4a7c15ull * ++fork_counter_);
+      next_u64() ^ fnv1a(tag) ^ (0x9e3779b97f4a7c15ull * ++fork_counter_);
   return Rng{mix};
 }
 

@@ -503,11 +503,10 @@ TEST(WarmRestartTrial, StaleCheckpointFallsBackCold) {
 
 TEST(WarmRestartTrial, PoisonedCheckpointCrashesWarmStartThenRecoversCold) {
   // Undetectable corruption: validation passes, the warm attempt crashes
-  // mid-startup. That is a restart-path fault by construction, so the trial
-  // needs ISSUE 2's hardening — the deadline notices the dead startup, the
-  // checkpoint is shed as fault-suspected, and the retry runs cold.
+  // mid-startup. That is a restart-path fault by construction, so only the
+  // restart deadline notices the dead startup; the checkpoint is shed as
+  // fault-suspected, and the retry runs cold.
   TrialSpec spec = warm_spec(names::kRtu);
-  spec.harden_restart_path = true;
   spec.checkpoint_damage = TrialSpec::CheckpointDamage::kPoison;
   const TrialResult result = run_trial(spec);
   ASSERT_FALSE(result.timed_out);
@@ -519,25 +518,11 @@ TEST(WarmRestartTrial, PoisonedCheckpointCrashesWarmStartThenRecoversCold) {
   EXPECT_GT(result.recovery.to_seconds(), 0.0);
 }
 
-TEST(WarmRestartTrial, PoisonWithoutHardeningStallsLegacyPath) {
-  // The contrapositive of the test above, mirroring ISSUE 2's regression
-  // pair: without the restart deadline nothing notices the startup that
-  // died on poisoned state, and the trial stalls to its timeout.
-  TrialSpec spec = warm_spec(names::kRtu);
-  spec.harden_restart_path = false;
-  spec.checkpoint_damage = TrialSpec::CheckpointDamage::kPoison;
-  spec.timeout = Duration::seconds(60.0);
-  const TrialResult result = run_trial(spec);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_GE(result.checkpoint_crashes, 1);
-}
-
 TEST(WarmRestartTrial, SameSeedTrialsAreDeterministic) {
   for (const auto damage : {TrialSpec::CheckpointDamage::kNone,
                             TrialSpec::CheckpointDamage::kCorrupt,
                             TrialSpec::CheckpointDamage::kPoison}) {
     TrialSpec spec = warm_spec(names::kSes);
-    spec.harden_restart_path = true;
     spec.checkpoint_damage = damage;
     const TrialResult a = run_trial(spec);
     const TrialResult b = run_trial(spec);
@@ -673,7 +658,6 @@ TEST(TieredRestartTrial, SuspectShedStillWarmsFromReplicaOnRetry) {
   // escalated kill.
   TrialSpec spec = tiered_spec(names::kPbcom);
   spec.checkpoint_l2 = false;
-  spec.harden_restart_path = true;
   spec.checkpoint_damage = TrialSpec::CheckpointDamage::kPoison;
   const TrialResult result = run_trial(spec);
   ASSERT_FALSE(result.timed_out);
@@ -687,7 +671,6 @@ TEST(TieredRestartTrial, SuspectShedStillWarmsFromReplicaOnRetry) {
 TEST(TieredRestartTrial, SameSeedTieredTrialsAreDeterministic) {
   for (const bool partner_down : {false, true}) {
     TrialSpec spec = tiered_spec(names::kPbcom);
-    spec.harden_restart_path = true;
     spec.checkpoint_damage = TrialSpec::CheckpointDamage::kKill;
     spec.fail_partner_too = partner_down;
     const TrialResult a = run_trial(spec);

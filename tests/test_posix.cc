@@ -670,12 +670,13 @@ TEST(CheckpointFile, TruncatedFilesAreRejectedBeforeChecksum) {
 
 TEST(CheckpointFile, V1FilesNeverValidateUnderV2) {
   // Format migration safety: a v1 line (no length token) with a correct v1
-  // checksum is kInvalid under v2 — one cold start, never a wrong warm one.
+  // checksum is kInvalid under the current format — one cold start, never a
+  // wrong warm one.
   const std::string file = "/tmp/mercury_ckpt_v1_" + std::to_string(getpid());
   const std::string body = "1 ses session=3";  // v1 checksum body
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%llx",
-                static_cast<unsigned long long>(ckpt::fnv1a(body)));
+                static_cast<unsigned long long>(mercury::util::fnv1a(body)));
   {
     std::FILE* f = std::fopen(file.c_str(), "w");
     ASSERT_NE(f, nullptr);

@@ -398,15 +398,27 @@ TEST_F(RecTest, BackoffStreakDecays) {
   RecConfig config;
   config.escalation_window = Duration::millis(500.0);
   config.backoff_base = Duration::seconds(4.0);
-  config.backoff_decay = Duration::seconds(5.0);
   build(config);
 
+  report(names::kRtu);                   // streak 1, began at ~0
+  sim_.run_for(Duration::seconds(2.0));
+  report(names::kRtu);                   // waits until ~4; streak 2
+  EXPECT_EQ(rec_->backoffs_applied(), 1u);
+  sim_.run_for(Duration::seconds(62.0));  // done ~5; quiet until t ~= 66
   report(names::kRtu);
-  sim_.run_for(Duration::seconds(7.0));  // idle past the decay window
+  // A quiet minute forgets one step (2 -> 1), whose 4 s wait has long
+  // elapsed: dispatched at once, and the streak is 2 again.
+  EXPECT_EQ(process_.groups.size(), 3u);
+  EXPECT_EQ(rec_->backoffs_applied(), 1u);
+  sim_.run_for(Duration::seconds(2.0));   // done ~67; t ~= 68
   report(names::kRtu);
-  // The streak was forgotten: no delay, restart dispatched immediately.
-  EXPECT_EQ(process_.groups.size(), 2u);
-  EXPECT_EQ(rec_->backoffs_applied(), 0u);
+  // Streak 2 waits 8 s, until ~74. Forgetting the whole streak would
+  // dispatch at ~70; no decay (streak 3) would wait until ~82.
+  EXPECT_EQ(rec_->backoffs_applied(), 2u);
+  sim_.run_for(Duration::seconds(5.0));   // t ~= 73
+  EXPECT_EQ(process_.groups.size(), 3u);
+  sim_.run_for(Duration::seconds(2.0));   // t ~= 75
+  EXPECT_EQ(process_.groups.size(), 4u);
 }
 
 // The escalation window edge, pinned exactly. These use a zero-latency link

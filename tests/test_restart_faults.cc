@@ -38,22 +38,11 @@ TrialSpec hang_once_spec() {
   return spec;
 }
 
-// The ISSUE 2 regression pair: the same hung first restart stalls the legacy
-// recoverer (it trusts on_complete unconditionally, and a hung startup never
-// completes) but is aborted, escalated and recovered from by the hardened one.
-
-TEST(RestartFaults, HungRestartStallsLegacyRecoverer) {
-  TrialSpec spec = hang_once_spec();
-  spec.harden_restart_path = false;
-  const TrialResult result = run_trial(spec);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_EQ(result.restart_timeouts, 0);
-  EXPECT_FALSE(result.hard_failure);
-}
+// A hung startup never completes, so only the per-restart deadline notices
+// it: the action is aborted, escalated and recovered from.
 
 TEST(RestartFaults, HungRestartRecoversWithDeadline) {
   TrialSpec spec = hang_once_spec();
-  spec.harden_restart_path = true;
   const TrialResult result = run_trial(spec);
   EXPECT_FALSE(result.timed_out);
   EXPECT_FALSE(result.hard_failure);
@@ -64,7 +53,6 @@ TEST(RestartFaults, HungRestartRecoversWithDeadline) {
 
 TEST(RestartFaults, CrashLoopingStartupRecoversViaEscalation) {
   TrialSpec spec = hang_once_spec();
-  spec.harden_restart_path = true;
   RestartFaultSpec fault;
   fault.fail_first_attempts = 2;  // first two startups run, then die
   spec.restart_faults[names::kRtu] = fault;
@@ -81,7 +69,6 @@ TEST(RestartFaults, CrashLoopingStartupRecoversViaEscalation) {
 
 TEST(RestartFaults, UnrestartableComponentParksAndStationRunsDegraded) {
   TrialSpec spec = hang_once_spec();
-  spec.harden_restart_path = true;
   spec.max_attempts_per_chain = 5;
   spec.timeout = Duration::seconds(500.0);
   RestartFaultSpec fault;
@@ -99,24 +86,22 @@ TEST(RestartFaults, UnrestartableComponentParksAndStationRunsDegraded) {
 }
 
 TEST(RestartFaults, HardeningIsNoOpOnCleanTrials) {
-  // With no restart faults the deadline never trips and no cell streaks, so
-  // a hardened trial must reproduce the legacy numbers bit-for-bit.
+  // With no restart faults the deadline never trips and no cell streaks:
+  // one restart, no timeout, no backoff.
   TrialSpec spec;
   spec.tree = MercuryTree::kTreeIV;
   spec.fail_component = names::kSes;
   spec.seed = 777;
-  const TrialResult legacy = run_trial(spec);
-  spec.harden_restart_path = true;
-  const TrialResult hardened = run_trial(spec);
-  EXPECT_EQ(legacy.recovery.to_seconds(), hardened.recovery.to_seconds());
-  EXPECT_EQ(legacy.restarts, hardened.restarts);
-  EXPECT_EQ(hardened.restart_timeouts, 0);
-  EXPECT_EQ(hardened.backoffs, 0);
+  const TrialResult result = run_trial(spec);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_FALSE(result.hard_failure);
+  EXPECT_EQ(result.restarts, 1);
+  EXPECT_EQ(result.restart_timeouts, 0);
+  EXPECT_EQ(result.backoffs, 0);
 }
 
 TEST(RestartFaults, ProbabilisticFaultsAreDeterministicInSeed) {
   TrialSpec spec = hang_once_spec();
-  spec.harden_restart_path = true;
   RestartFaultSpec fault;
   fault.hang_prob = 0.3;
   fault.crash_prob = 0.3;
@@ -149,9 +134,8 @@ TEST(RestartFaults, HardenedDeadlineClearsWorstCaseStartup) {
 
 // --- Backoff interval clamp (ISSUE 8 satellite) ------------------------------
 // Unit-level: the recoverer against a one-second fake ProcessControl, pinning
-// the [base, cap] clamp on every backoff path. A sub-unity factor or a streak
-// decay step must never pace restarts tighter than base, and growth must
-// saturate at cap.
+// the backoff shape REC fixes for every base: doubling per streak step,
+// saturation at 30 s, and one streak step forgotten per quiet minute.
 
 class OneSecondProcessControl : public core::ProcessControl {
  public:
@@ -205,72 +189,48 @@ class BackoffClampTest : public ::testing::Test {
   std::uint64_t seq_ = 0;
 };
 
-TEST_F(BackoffClampTest, SubUnityFactorClampsToBase) {
+TEST_F(BackoffClampTest, GrowthSaturatesAtCap) {
   core::RecConfig config;
-  config.backoff_base = Duration::seconds(4.0);
-  config.backoff_factor = 0.25;
+  config.backoff_base = Duration::seconds(20.0);
   build(config);
 
   report(names::kRtu);  // dispatches at ~0, completes at ~1
   sim_.run_for(Duration::seconds(2.0));
-  report(names::kRtu);  // streak 1: waits until t = 4
-  EXPECT_EQ(process_.groups.size(), 1u);
+  report(names::kRtu);  // streak 1: waits out base, until t = 20
   EXPECT_EQ(rec_->backoffs_applied(), 1u);
-  sim_.run_for(Duration::seconds(2.5));  // dispatched at ~4, completes at ~5
+  sim_.run_for(Duration::seconds(20.0));  // dispatched ~20, done ~21; t ~= 22
   EXPECT_EQ(process_.groups.size(), 2u);
-  sim_.run_for(Duration::seconds(1.6));  // t ~= 6.1
   report(names::kRtu);
-  // Streak 2 with factor 0.25 computes base/4 raw; the clamp must hold the
-  // spacing at base, so nothing dispatches before t = 8.
-  EXPECT_EQ(process_.groups.size(), 2u);
+  // Streak 2 doubles the base to 40 s raw — capped at 30, so the third
+  // attempt dispatches at ~50, not ~60.
   EXPECT_EQ(rec_->backoffs_applied(), 2u);
-  sim_.run_for(Duration::seconds(1.0));  // t ~= 7.1: still waiting
+  sim_.run_for(Duration::seconds(27.0));  // t ~= 49: still waiting
   EXPECT_EQ(process_.groups.size(), 2u);
-  sim_.run_for(Duration::seconds(1.5));  // t ~= 8.6: base spacing elapsed
-  EXPECT_EQ(process_.groups.size(), 3u);
-}
-
-TEST_F(BackoffClampTest, GrowthSaturatesAtCap) {
-  core::RecConfig config;
-  config.backoff_base = Duration::seconds(2.0);
-  config.backoff_factor = 10.0;
-  config.backoff_cap = Duration::seconds(5.0);
-  build(config);
-
-  report(names::kRtu);  // dispatches at ~0, completes at ~1
-  sim_.run_for(Duration::seconds(2.5));
-  report(names::kRtu);  // streak 1: base interval already elapsed
-  EXPECT_EQ(process_.groups.size(), 2u);
-  EXPECT_EQ(rec_->backoffs_applied(), 0u);
-  sim_.run_for(Duration::seconds(1.7));  // completes ~3.5; t ~= 4.2
-  report(names::kRtu);
-  // Streak 2 with factor 10 computes 20 s raw — capped at 5, so the third
-  // attempt dispatches at ~7.5, not ~22.5.
-  EXPECT_EQ(rec_->backoffs_applied(), 1u);
-  EXPECT_EQ(process_.groups.size(), 2u);
-  sim_.run_for(Duration::seconds(4.0));  // t ~= 8.2: past last + cap
+  sim_.run_for(Duration::seconds(2.0));  // t ~= 51: past last + cap
   EXPECT_EQ(process_.groups.size(), 3u);
 }
 
 TEST_F(BackoffClampTest, DecayedStreakPacesAtBase) {
   core::RecConfig config;
   config.backoff_base = Duration::seconds(4.0);
-  config.backoff_factor = 2.0;
-  config.backoff_decay = Duration::seconds(3.0);
   build(config);
 
-  report(names::kRtu);  // streak 1
-  sim_.run_for(Duration::seconds(2.0));
-  report(names::kRtu);  // waits until t = 4; streak 2
-  EXPECT_EQ(rec_->backoffs_applied(), 1u);
-  sim_.run_for(Duration::seconds(6.5));  // dispatched ~4, done ~5; t ~= 8.5
+  report(names::kRtu);  // streak 1, last attempt began at ~0
+  sim_.run_for(Duration::seconds(61.0));  // one full quiet minute
   report(names::kRtu);
-  // One full decay interval has passed since the last attempt began (t=4):
-  // the streak steps 2 -> 1 and the wait is exactly base — already elapsed,
-  // so the restart dispatches immediately instead of waiting out the
-  // streak-2 interval (8 s), and never anything below base.
-  EXPECT_EQ(process_.groups.size(), 3u);
+  // The minute forgot the streak's one step: no wait, and the streak
+  // restarts at 1 with this attempt (t ~= 61).
+  EXPECT_EQ(process_.groups.size(), 2u);
+  EXPECT_EQ(rec_->backoffs_applied(), 0u);
+  sim_.run_for(Duration::seconds(2.0));  // done ~62; t ~= 63
+  report(names::kRtu);
+  // Streak 1 paces at exactly base: dispatch at ~65. An undecayed streak
+  // (2 here) would hold it until ~69.
   EXPECT_EQ(rec_->backoffs_applied(), 1u);
+  sim_.run_for(Duration::seconds(1.5));  // t ~= 64.5: still waiting
+  EXPECT_EQ(process_.groups.size(), 2u);
+  sim_.run_for(Duration::seconds(1.0));  // t ~= 65.5: base elapsed
+  EXPECT_EQ(process_.groups.size(), 3u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests: util (rng, stats, strings, time, result).
+// Unit tests: util (rng, hash, stats, strings, time, result).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -132,6 +133,16 @@ TEST(Rng, ExponentialDurationOverload) {
     stats.add(rng.exponential(Duration::seconds(2.0)).to_seconds());
   }
   EXPECT_NEAR(stats.mean(), 2.0, 0.06);
+}
+
+// --- Hash --------------------------------------------------------------------
+
+TEST(Hash, Fnv1aMatchesPublishedVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+  // Continuing from a previous hash is hashing the concatenation.
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
 }
 
 // --- Stats -------------------------------------------------------------------
