@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "util/time.h"
-
 namespace mercury::core {
 
 using FailureId = std::uint64_t;
@@ -54,7 +52,6 @@ FailureSpec make_stale_attachment(std::string component);
 /// An active failure as the board hands it to listeners and callers.
 struct ActiveFailure {
   FailureId id = 0;
-  util::TimePoint onset;
   /// The failure's spec, interned in its FailureBoard's spec pool: shared by
   /// every failure injected with an equal spec, valid while the board lives.
   const FailureSpec* spec = nullptr;

@@ -62,12 +62,11 @@ FailureId FailureBoard::inject(FailureSpec spec, util::TimePoint now) {
     it = std::find(cure_set.begin(), it, *it) != it ? cure_set.erase(it) : it + 1;
   }
   assert(cure_set.size() <= 32 && "restarted is a 32-bit mask");
-  const Pending pending{next_id_++, now};
   const auto entry = pending_.try_emplace(std::move(spec)).first;
-  entry->second.push_back(pending);
+  entry->second.push_back(next_id_);
   ++active_count_;
   // Nothing has restarted since this onset yet.
-  const ActiveFailure failure{pending.id, pending.onset, &entry->first};
+  const ActiveFailure failure{next_id_++, &entry->first};
   if (obs::enabled()) {
     obs::instant(now, "fault", "fault.manifest", "board",
                  {{"manifest", failure.spec->manifest},
@@ -85,13 +84,12 @@ FailureId FailureBoard::watermark(const std::string& component) const {
 }
 
 ActiveFailure FailureBoard::make_active(const FailureSpec& spec,
-                                        const Pending& pending) const {
+                                        FailureId id) const {
   ActiveFailure failure;
-  failure.id = pending.id;
-  failure.onset = pending.onset;
+  failure.id = id;
   failure.spec = &spec;
   for (std::size_t i = 0; i < spec.cure_set.size(); ++i) {
-    if (watermark(spec.cure_set[i]) > pending.id) {
+    if (watermark(spec.cure_set[i]) > id) {
       failure.restarted |= std::uint32_t{1} << i;
     }
   }
@@ -115,7 +113,7 @@ void FailureBoard::on_restart_complete(const std::string& component,
     for (const auto& member : cure_set) {
       cured_below = std::min(cured_below, watermark(member));
     }
-    while (!queue.empty() && queue.front().id < cured_below) {
+    while (!queue.empty() && queue.front() < cured_below) {
       cured.push_back(make_active(spec, queue.front()));
       queue.pop_front();
     }
@@ -128,7 +126,7 @@ void FailureBoard::on_soft_recovery_complete(const std::string& component,
   std::vector<ActiveFailure> cured;
   for (auto& [spec, queue] : pending_) {
     if (!spec.soft_curable || spec.manifest != component) continue;
-    for (const Pending& pending : queue) cured.push_back(make_active(spec, pending));
+    queue.for_each([&](FailureId id) { cured.push_back(make_active(spec, id)); });
     queue.clear();
   }
   finish_cures(cured, now);
@@ -151,7 +149,7 @@ std::vector<ActiveFailure> FailureBoard::active_at(const std::string& component)
   std::vector<ActiveFailure> out;
   for (const auto& [spec, queue] : pending_) {
     if (spec.manifest != component) continue;
-    for (const Pending& pending : queue) out.push_back(make_active(spec, pending));
+    queue.for_each([&](FailureId id) { out.push_back(make_active(spec, id)); });
   }
   std::sort(out.begin(), out.end(), by_id);
   return out;
@@ -161,19 +159,26 @@ std::vector<ActiveFailure> FailureBoard::active() const {
   std::vector<ActiveFailure> out;
   out.reserve(active_count_);
   for (const auto& [spec, queue] : pending_) {
-    for (const Pending& pending : queue) out.push_back(make_active(spec, pending));
+    queue.for_each([&](FailureId id) { out.push_back(make_active(spec, id)); });
   }
   std::sort(out.begin(), out.end(), by_id);
   return out;
 }
 
 bool FailureBoard::clear(FailureId id) {
+  // Rebuilds the queue rather than editing it in place: only tests clear.
   for (auto& [spec, queue] : pending_) {
-    const auto it = std::lower_bound(
-        queue.begin(), queue.end(), id,
-        [](const Pending& pending, FailureId key) { return pending.id < key; });
-    if (it == queue.end() || it->id != id) continue;
-    queue.erase(it);
+    IdQueue kept;
+    bool found = false;
+    queue.for_each([&](FailureId queued) {
+      if (queued == id) {
+        found = true;
+      } else {
+        kept.push_back(queued);
+      }
+    });
+    if (!found) continue;
+    queue = std::move(kept);
     --active_count_;
     return true;
   }
@@ -183,21 +188,55 @@ bool FailureBoard::clear(FailureId id) {
 std::size_t FailureBoard::memory_bytes() const {
   // A red-black tree node is four words of links and colour, then the value.
   constexpr std::size_t kTreeNode = 4 * sizeof(void*);
-  // libstdc++ stores a deque in 512-byte blocks plus a map of block
-  // pointers (at least 8), and keeps one block even when empty.
-  constexpr std::size_t kDequeBlock = 512;
-  constexpr std::size_t kPerBlock = kDequeBlock / sizeof(Pending);
   // Component names and kinds fit the small-string buffer.
   std::size_t bytes = 0;
   for (const auto& [spec, queue] : pending_) {
     bytes += kTreeNode + sizeof(SpecQueues::value_type) +
-             spec.cure_set.capacity() * sizeof(std::string);
-    const std::size_t blocks = queue.size() / kPerBlock + 1;
-    bytes += blocks * kDequeBlock + std::max<std::size_t>(8, blocks + 2) * sizeof(void*);
+             spec.cure_set.capacity() * sizeof(std::string) + queue.memory_bytes();
   }
   bytes += restarted_below_.size() *
            (kTreeNode + sizeof(std::pair<const std::string, FailureId>));
   return bytes;
+}
+
+void FailureBoard::IdQueue::push_back(FailureId id) {
+  assert(id > back_);
+  if (empty()) {
+    front_ = id;
+  } else {
+    FailureId delta = id - back_;
+    for (; delta >= 0x80; delta >>= 7) {
+      deltas_.push_back(static_cast<std::uint8_t>(delta | 0x80));
+    }
+    deltas_.push_back(static_cast<std::uint8_t>(delta));
+  }
+  back_ = id;
+}
+
+void FailureBoard::IdQueue::pop_front() {
+  assert(!empty());
+  if (deltas_.empty()) {
+    clear();
+    return;
+  }
+  Bytes::const_iterator it = deltas_.begin();
+  front_ += read_delta(it);
+  deltas_.erase(deltas_.begin(), it);
+}
+
+FailureId FailureBoard::IdQueue::read_delta(Bytes::const_iterator& it) {
+  FailureId delta = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t byte = *it++;
+    delta |= FailureId{byte & 0x7Fu} << shift;
+    if (byte < 0x80) return delta;
+  }
+}
+
+std::size_t FailureBoard::IdQueue::memory_bytes() const {
+  constexpr std::size_t kDequeBlock = 512;
+  const std::size_t blocks = deltas_.size() / kDequeBlock + 1;
+  return blocks * kDequeBlock + std::max<std::size_t>(8, blocks + 2) * sizeof(void*);
 }
 
 void FailureBoard::set_restart_faults(const std::string& component,

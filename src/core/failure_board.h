@@ -12,17 +12,21 @@
 // cure sets from the board; realistic oracles never do.
 //
 // Storage: a run without a repair loop keeps every failure it ever injected
-// (~10^5 in the two-year Table-1 run), so a never-cured failure costs one
-// 16-byte Pending entry (id, onset) and nothing else. Equal specs are
-// interned once as map keys; each key's value is that spec's active failures
-// in id order. Instead of a restarted mask per failure, the board keeps one
-// watermark per component: the next id at that component's last restart.
-// Ids grow with time, so within one spec the cured failures are always a
-// prefix of its queue, and ActiveFailure values (with their restarted mask)
-// are built from the watermarks only when a caller asks for them.
+// (~10^5 in the two-year Table-1 run), so a never-cured failure costs only
+// its id, stored as the LEB128 delta from the id before it in its spec's
+// queue: one byte while the spec sees a failure every 127 injections. The
+// onset is not kept; the trace's fault.manifest event carries it. Equal
+// specs are interned once as map keys; each key's value is that spec's
+// active failures in id order. Instead of a restarted mask per failure, the
+// board keeps one watermark per component: the next id at that component's
+// last restart. Ids grow with time, so within one spec the cured failures
+// are always a prefix of its queue, and ActiveFailure values (with their
+// restarted mask) are built from the watermarks only when a caller asks for
+// them.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -80,8 +84,8 @@ class FailureBoard {
   bool any_active() const { return active_count_ > 0; }
   std::size_t active_count() const { return active_count_; }
 
-  /// Heap bytes the board's failure storage holds (interned specs, their
-  /// queues counted as libstdc++'s 512-byte deque blocks, the watermarks).
+  /// Heap bytes the board's failure storage holds (interned specs, their id
+  /// queues, the watermarks).
   std::size_t memory_bytes() const;
 
   /// Forcibly clear a failure (used by tests); returns false if unknown.
@@ -114,19 +118,46 @@ class FailureBoard {
   void note_restart_crash(const std::string& component, util::TimePoint now);
 
  private:
-  /// One active failure of a known spec.
-  struct Pending {
-    FailureId id;
-    util::TimePoint onset;
+  /// A spec's active failure ids, ascending, as a FIFO of LEB128 deltas:
+  /// the front id is kept decoded and each later id costs the bytes of its
+  /// distance from the one before.
+  class IdQueue {
+   public:
+    bool empty() const { return front_ == 0; }  // ids start at 1
+    FailureId front() const { return front_; }
+    /// Append `id`, which must exceed every id already queued.
+    void push_back(FailureId id);
+    void pop_front();
+    void clear() {
+      front_ = back_ = 0;
+      deltas_.clear();
+    }
+    /// Call `f(id)` for every id, front to back.
+    template <typename F>
+    void for_each(F f) const {
+      if (empty()) return;
+      FailureId id = front_;
+      f(id);
+      for (auto it = deltas_.begin(); it != deltas_.end();) f(id += read_delta(it));
+    }
+    /// Heap bytes, counted as libstdc++'s 512-byte deque blocks plus their
+    /// map (at least 8 pointers; one block is kept even when empty).
+    std::size_t memory_bytes() const;
+
+   private:
+    using Bytes = std::deque<std::uint8_t>;
+    /// Decode the delta at `it` and step past it.
+    static FailureId read_delta(Bytes::const_iterator& it);
+
+    FailureId front_ = 0;  ///< 0 when empty
+    FailureId back_ = 0;
+    Bytes deltas_;  ///< from each id to the next, front to back
   };
-  /// A never-cured failure (the Table-1 run keeps ~10^5 of them) costs this
-  /// much and nothing else.
-  static_assert(sizeof(Pending) == 16, "Pending must stay compact");
-  using SpecQueues = std::map<FailureSpec, std::deque<Pending>>;
+  using SpecQueues = std::map<FailureSpec, IdQueue>;
 
   /// `restarted_below_[component]`, or 0 if it never restarted.
   FailureId watermark(const std::string& component) const;
-  ActiveFailure make_active(const FailureSpec& spec, const Pending& pending) const;
+  ActiveFailure make_active(const FailureSpec& spec, FailureId id) const;
   /// Sort `cured` by id, count it, and fire trace events and cure listeners.
   void finish_cures(std::vector<ActiveFailure>& cured, util::TimePoint now);
 

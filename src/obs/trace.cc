@@ -382,20 +382,23 @@ std::string TraceEvent::arg_or(std::string_view key, std::string_view fallback) 
 // --- EventBuffer ----------------------------------------------------------
 //
 // Record layout (docs/TRACING.md "In-memory representation"):
-//   header   kind (2 bits) | arg count (6 bits; 63 = count follows as a varint)
-//   varints  category, name, track label ids; span; run
+//   varints  shape label id; span; run
 //   8 bytes  t, raw double bits
-//   per arg  key label id (varint), type (3 bits) | precision (5 bits; 31 =
-//            precision follows as a byte), value: label id or unsigned as a
-//            varint, signed as a zigzag varint, kFixed as 8 raw bytes
+//   per arg  the value only: label id or unsigned as a varint, signed as a
+//            zigzag varint, kFixed as 8 raw bytes
+// A shape is what an emit site fixes and its events share, interned as a
+// label whose text is the raw bytes of 64-bit words:
+//   category id | track id << 32
+//   name id | kind << 32 | arg count << 40
+//   per arg  key id | type << 32 | precision << 40
 
 namespace {
 
-constexpr std::uint8_t kCountEscape = 63;
-constexpr std::uint8_t kPrecisionEscape = 31;
-/// Largest encoding of a record's fixed part and of one arg.
-constexpr std::size_t kMaxHeaderBytes = 1 + 10 + 3 * 5 + 2 * 10 + 8;
-constexpr std::size_t kMaxArgBytes = 5 + 2 + 10;
+/// Largest encoding of a record's fixed part and of one arg value.
+constexpr std::size_t kMaxHeaderBytes = 5 + 2 * 10 + 8;
+constexpr std::size_t kMaxArgBytes = 10;
+/// Args an emit call may pass without the record path allocating.
+constexpr std::size_t kInlineArgs = 8;
 
 std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
@@ -435,12 +438,64 @@ std::uint64_t zigzag(std::uint64_t v) {
 
 std::uint64_t unzigzag(std::uint64_t v) { return (v >> 1) ^ (~(v & 1) + 1); }
 
+/// Per-thread memo in front of the intern cache for shapes: the last shape
+/// seen for each name, kind and arg count (by hash). An emit site repeats
+/// one shape, so most records find theirs with a few word compares and
+/// never hash its text.
+class ShapeMemo {
+ public:
+  /// The id of the shape whose text is `words` (2 + arg_count of them).
+  std::uint32_t intern(const std::uint64_t* words, std::size_t arg_count) {
+    const std::string_view text(reinterpret_cast<const char*>(words),
+                                (2 + arg_count) * sizeof *words);
+    if (arg_count > kInlineArgs) return obs::intern(text);
+    Slot& slot = slots_[(words[1] ^ words[1] >> 30) & (kSlots - 1)];
+    if (slot.shape == 0 || !std::equal(words, words + 2 + arg_count, slot.words)) {
+      slot.shape = obs::intern(text);
+      std::copy(words, words + 2 + arg_count, slot.words);
+    }
+    return slot.shape;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 64;
+  struct Slot {
+    std::uint64_t words[2 + kInlineArgs] = {};
+    std::uint32_t shape = 0;  ///< 0: empty
+  };
+  Slot slots_[kSlots];
+};
+
+thread_local ShapeMemo t_shape_memo;
+
 }  // namespace
 
 template <typename ArgIt>
 void EventBuffer::append(double t, EventKind kind, Label category, Label name,
                          Label track, std::uint64_t span, std::uint64_t run,
                          ArgIt args, std::size_t arg_count) {
+  // The shape's words (layout above); each arg's value goes to `values`.
+  std::uint64_t inline_words[2 + kInlineArgs];
+  std::uint64_t inline_values[kInlineArgs];
+  std::vector<std::uint64_t> heap;
+  std::uint64_t* words = inline_words;
+  std::uint64_t* values = inline_values;
+  if (arg_count > kInlineArgs) {
+    heap.resize(2 + 2 * arg_count);
+    words = heap.data();
+    values = words + 2 + arg_count;
+  }
+  words[0] = category.id() | std::uint64_t{track.id()} << 32;
+  words[1] = name.id() | std::uint64_t{static_cast<std::uint8_t>(kind)} << 32 |
+             std::uint64_t{arg_count} << 40;
+  for (std::size_t i = 0; i < arg_count; ++i, ++args) {
+    const TraceArg arg(*args);  // interns an emit-side arg's strings
+    words[2 + i] = arg.key.id() | std::uint64_t{static_cast<std::uint8_t>(arg.type_)} << 32 |
+                   std::uint64_t{arg.precision_} << 40;
+    values[i] = arg.bits_;
+  }
+  const std::uint32_t shape = t_shape_memo.intern(words, arg_count);
+
   const std::size_t bound = kMaxHeaderBytes + arg_count * kMaxArgBytes;
   // A rebased block decodes through its offsets, so new records never join it.
   if (blocks_.empty() || blocks_.back().capacity - blocks_.back().used < bound ||
@@ -457,27 +512,16 @@ void EventBuffer::append(double t, EventKind kind, Label category, Label name,
   }
   Block& block = blocks_.back();
   std::uint8_t* p = block.bytes.get() + block.used;
-  const std::uint8_t count =
-      static_cast<std::uint8_t>(std::min<std::size_t>(arg_count, kCountEscape));
-  *p++ = static_cast<std::uint8_t>(static_cast<std::uint8_t>(kind) | count << 2);
-  if (count == kCountEscape) p = put_varint(p, arg_count);
-  p = put_varint(p, category.id());
-  p = put_varint(p, name.id());
-  p = put_varint(p, track.id());
+  p = put_varint(p, shape);
   p = put_varint(p, span);
   p = put_varint(p, run);
   p = put_raw(p, std::bit_cast<std::uint64_t>(t));
-  for (std::size_t i = 0; i < arg_count; ++i, ++args) {
-    const TraceArg arg(*args);  // interns an emit-side arg's strings
-    p = put_varint(p, arg.key.id());
-    const std::uint8_t precision = std::min(arg.precision_, kPrecisionEscape);
-    *p++ = static_cast<std::uint8_t>(static_cast<std::uint8_t>(arg.type_) | precision << 3);
-    if (precision == kPrecisionEscape) *p++ = arg.precision_;
-    switch (arg.type_) {
+  for (std::size_t i = 0; i < arg_count; ++i) {
+    switch (static_cast<ArgType>(words[2 + i] >> 32 & 0xFF)) {
       case ArgType::kString:
-      case ArgType::kUnsigned: p = put_varint(p, arg.bits_); break;
-      case ArgType::kSigned: p = put_varint(p, zigzag(arg.bits_)); break;
-      case ArgType::kFixed: p = put_raw(p, arg.bits_); break;
+      case ArgType::kUnsigned: p = put_varint(p, values[i]); break;
+      case ArgType::kSigned: p = put_varint(p, zigzag(values[i])); break;
+      case ArgType::kFixed: p = put_raw(p, values[i]); break;
     }
   }
   block.used = static_cast<std::uint32_t>(p - block.bytes.get());
@@ -486,25 +530,31 @@ void EventBuffer::append(double t, EventKind kind, Label category, Label name,
 }
 
 const std::uint8_t* EventBuffer::decode(const Block& block, const std::uint8_t* p,
-                                        TraceEvent& out) {
-  const std::uint8_t header = *p++;
-  out.kind = static_cast<EventKind>(header & 3);
-  std::size_t arg_count = header >> 2;
-  if (arg_count == kCountEscape) arg_count = static_cast<std::size_t>(get_varint(p));
-  out.category = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
-  out.name = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
-  out.track = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
+                                        TraceEvent& out, std::uint32_t& shape) {
+  const auto shape_id = static_cast<std::uint32_t>(get_varint(p));
+  if (shape_id != shape) {  // `out` holds another shape's fields: read this one's
+    shape = shape_id;
+    const auto* words =
+        reinterpret_cast<const std::uint8_t*>(LabelPool::instance().entry(shape_id).text.data());
+    const std::uint64_t labels = get_raw(words);
+    const std::uint64_t head = get_raw(words);
+    out.kind = static_cast<EventKind>(head >> 32 & 0xFF);
+    out.category = Label::from_id(static_cast<std::uint32_t>(labels));
+    out.name = Label::from_id(static_cast<std::uint32_t>(head));
+    out.track = Label::from_id(static_cast<std::uint32_t>(labels >> 32));
+    out.args.resize(static_cast<std::size_t>(head >> 40));
+    for (TraceArg& arg : out.args) {
+      const std::uint64_t word = get_raw(words);
+      arg.key = Label::from_id(static_cast<std::uint32_t>(word));
+      arg.type_ = static_cast<ArgType>(word >> 32 & 0xFF);
+      arg.precision_ = static_cast<std::uint8_t>(word >> 40);
+    }
+  }
   const std::uint64_t span = get_varint(p);
   out.span = span != 0 ? span + block.span_offset : 0;
   out.run = get_varint(p) + block.run_offset;
   out.t = std::bit_cast<double>(get_raw(p));
-  out.args.resize(arg_count);
   for (TraceArg& arg : out.args) {
-    arg.key = Label::from_id(static_cast<std::uint32_t>(get_varint(p)));
-    const std::uint8_t type = *p++;
-    arg.type_ = static_cast<ArgType>(type & 7);
-    arg.precision_ = type >> 3;
-    if (arg.precision_ == kPrecisionEscape) arg.precision_ = *p++;
     switch (arg.type_) {
       case ArgType::kString:
       case ArgType::kUnsigned: arg.bits_ = get_varint(p); break;
@@ -535,8 +585,9 @@ TraceEvent EventBuffer::operator[](std::size_t index) const {
       blocks_.begin(), blocks_.end(), index,
       [](std::size_t i, const Block& b) { return i < b.start; }));
   TraceEvent event;
+  std::uint32_t shape = 0;
   const std::uint8_t* p = block->bytes.get();
-  for (std::uint64_t i = block->start; i <= index; ++i) p = decode(*block, p, event);
+  for (std::uint64_t i = block->start; i <= index; ++i) p = decode(*block, p, event, shape);
   return event;
 }
 
@@ -582,7 +633,7 @@ void EventBuffer::const_iterator::enter_block() {
   }
   pos_ = block_->bytes.get();
   block_end_ = pos_ + block_->used;
-  next_ = decode(*block_, pos_, event_);
+  next_ = decode(*block_, pos_, event_, shape_);
 }
 
 // --- TraceRecorder ----------------------------------------------------------

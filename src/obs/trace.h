@@ -100,8 +100,9 @@ class Label {
 
 std::ostream& operator<<(std::ostream& out, Label label);
 
-/// Number of distinct strings interned so far (the empty string included).
-/// Grows only with the set of distinct labels, never with the event count.
+/// Number of distinct strings interned so far (the empty string and the
+/// event shapes EventBuffer interns included). Grows only with the set of
+/// distinct labels and emit sites, never with the event count.
 std::size_t interned_label_count();
 
 // --- Args -------------------------------------------------------------------
@@ -240,15 +241,17 @@ struct TraceEvent {
 };
 
 /// Append-only event storage as a log of variable-length byte records
-/// (format in docs/TRACING.md "In-memory representation"): label ids,
-/// span, run and integer args as LEB128 varints, doubles as their raw
-/// bytes, so a Table-1 fault event takes about 28 bytes and decodes to
-/// exactly the values it was recorded with. Records go into fixed-size
-/// blocks that are never moved or grown; a buffer's first block is small
-/// and each new one doubles, up to a cap. Merging one buffer into another (the parallel
-/// runner joining per-trial recorders) rebases the source by per-block
-/// offsets and splices whole blocks, so neither touches a record.
-/// Iteration order is emission order.
+/// (format in docs/TRACING.md "In-memory representation"). What an emit
+/// site fixes (kind, category, name, track, each arg's key, type and
+/// precision) is the event's shape, interned once in the label pool; a
+/// record holds its shape id, span, run and integer args as LEB128 varints
+/// and doubles as their raw bytes, so a Table-1 fault event takes about 17
+/// bytes and decodes to exactly the values it was recorded with. Records go
+/// into fixed-size blocks that are never moved or grown; a buffer's first
+/// block is small and each new one doubles, up to a cap. Merging one buffer
+/// into another (the parallel runner joining per-trial recorders) rebases
+/// the source by per-block offsets and splices whole blocks, so neither
+/// touches a record. Iteration order is emission order.
 class EventBuffer {
  private:
   /// A fixed-size run of records sharing one rebase.
@@ -263,9 +266,10 @@ class EventBuffer {
   };
 
   /// Decode the record at `p` of `block` into `out`; returns the byte just
-  /// past it.
+  /// past it. `shape` names the shape whose fields `out` already holds (0:
+  /// none), so a run of records of one shape reads only their values.
   static const std::uint8_t* decode(const Block& block, const std::uint8_t* p,
-                                    TraceEvent& out);
+                                    TraceEvent& out, std::uint32_t& shape);
 
  public:
   /// Append a copy of `event`. The offsets rebase the copy's span id (if
@@ -313,7 +317,7 @@ class EventBuffer {
         ++block_;
         enter_block();
       } else {
-        next_ = decode(*block_, pos_, event_);
+        next_ = decode(*block_, pos_, event_, shape_);
       }
       return *this;
     }
@@ -337,6 +341,7 @@ class EventBuffer {
     const std::uint8_t* next_ = nullptr;  ///< just past it
     const std::uint8_t* block_end_ = nullptr;
     TraceEvent event_;
+    std::uint32_t shape_ = 0;  ///< the shape event_ holds, see decode()
   };
   const_iterator begin() const {
     return const_iterator{blocks_.data(), blocks_.data() + blocks_.size()};
@@ -349,8 +354,8 @@ class EventBuffer {
   static constexpr std::size_t kFirstBlockBytes = 512;
   static constexpr std::size_t kMaxBlockBytes = 64 * 1024;
 
-  /// Encode one record at the end of the log; `args` walks `arg_count`
-  /// TraceArgs or emit-side Args.
+  /// Encode one record at the end of the log, interning its shape; `args`
+  /// walks `arg_count` TraceArgs or emit-side Args.
   template <typename ArgIt>
   void append(double t, EventKind kind, Label category, Label name, Label track,
               std::uint64_t span, std::uint64_t run, ArgIt args,

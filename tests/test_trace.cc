@@ -10,17 +10,16 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <thread>
 
 #include "core/mercury_trees.h"
 #include "core/transformations.h"
 #include "obs/phases.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
 #include "station/experiment.h"
-#include "station/fault_injector.h"
-#include "station/station.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -166,7 +165,9 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
   // event cap the way TraceRecorder does (drops past it; a splice that
   // would cross it falls back to per-event copies). After every op the
   // buffer must read back exactly the model: iteration, operator[],
-  // to_vector and the JSONL bytes.
+  // to_vector and the JSONL bytes. Events come from 1500 emit sites, so the
+  // records draw that many distinct shapes: every arg type, arg counts past
+  // 63, precisions past 31, begins and ends with and without spans.
   util::Rng rng(2026);
   const auto pick = [&](std::int64_t hi) {
     return static_cast<std::size_t>(rng.uniform_int(0, hi - 1));
@@ -200,33 +201,66 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
   // Spans and runs stay far below 2^64 so no rebase wraps them.
   const auto span_id = [&] { return rng.chance(0.3) ? 0 : rng.next_u64() >> (2 + pick(60)); };
   const auto offset = [&] { return rng.chance(0.3) ? 0 : rng.next_u64() >> (24 + pick(40)); };
-  const auto arg_count = [&] { return rng.chance(0.02) ? 60 + pick(10) : pick(6); };
-
   const auto text = [&]() -> const std::string& {
     return texts[pick(static_cast<std::int64_t>(texts.size()))];
   };
-  const auto label = [&] { return Label(text()); };
-  // An emit-side arg of every type.
-  const auto emit_arg = [&]() -> Arg {
-    const std::string_view key = text();
-    switch (pick(4)) {
-      case 0: return {key, std::string_view(text())};
-      case 1: return {key, u64()};
-      case 2: return {key, i64()};
-      default: return {key, Fixed{real(), static_cast<int>(pick(41))}};
-    }
+
+  // The emit sites events come from: each fixes a shape (kind, labels, and
+  // each arg's key, type and precision) and the events vary the values.
+  struct Site {
+    EventKind kind;
+    Label category, name, track;
+    std::vector<std::string> keys;
+    std::vector<ArgType> types;
+    std::vector<int> precisions;
   };
-  const auto random_event = [&] {
+  std::vector<Site> sites(1'500);
+  for (Site& site : sites) {
+    site.kind = static_cast<EventKind>(pick(3));
+    site.category = Label(text());
+    site.name = Label(text());
+    site.track = Label(text());
+    for (std::size_t i = rng.chance(0.02) ? 60 + pick(10) : pick(6); i > 0; --i) {
+      site.keys.push_back(rng.chance(0.5) ? text() : "key" + std::to_string(pick(200)));
+      site.types.push_back(static_cast<ArgType>(pick(4)));
+      site.precisions.push_back(
+          site.types.back() != ArgType::kFixed ? 0
+          : rng.chance(0.1)                    ? static_cast<int>(32 + pick(224))
+                                               : static_cast<int>(pick(41)));
+    }
+  }
+  const auto site = [&]() -> const Site& {
+    return sites[pick(static_cast<std::int64_t>(sites.size()))];
+  };
+  // The emit-side args of one event from `from`.
+  const auto emit_args = [&](const Site& from) {
+    std::vector<Arg> args;
+    for (std::size_t i = 0; i < from.keys.size(); ++i) {
+      const std::string_view key = from.keys[i];
+      switch (from.types[i]) {
+        case ArgType::kString: args.emplace_back(key, std::string_view(text())); break;
+        case ArgType::kUnsigned: args.emplace_back(key, u64()); break;
+        case ArgType::kSigned: args.emplace_back(key, i64()); break;
+        case ArgType::kFixed: args.emplace_back(key, Fixed{real(), from.precisions[i]}); break;
+      }
+    }
+    return args;
+  };
+  const auto random_event = [&](const Site& from, const std::vector<Arg>& args) {
     TraceEvent event;
     event.t = real();
-    event.kind = static_cast<EventKind>(pick(3));
-    event.category = label();
-    event.name = label();
-    event.track = label();
+    event.kind = from.kind;
+    event.category = from.category;
+    event.name = from.name;
+    event.track = from.track;
     event.span = span_id();
     event.run = rng.next_u64() >> (2 + pick(60));
-    for (std::size_t i = arg_count(); i > 0; --i) event.args.emplace_back(emit_arg());
+    for (const Arg& arg : args) event.args.emplace_back(arg);
     return event;
+  };
+  const auto any_event = [&] {
+    const Site& from = site();
+    return random_event(from, emit_args(from));
   };
   const auto rebased = [](TraceEvent event, std::uint64_t span_offset,
                           std::uint64_t run_offset) {
@@ -253,23 +287,26 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
     }
   };
 
+  // With every string interned up front, the pool grows by the shapes the
+  // records intern and nothing else.
+  for (const Site& from : sites) {
+    for (const std::string& key : from.keys) Label{key};
+  }
+  const std::size_t labels_before = interned_label_count();
+
   for (int op = 0; op < 10'000; ++op) {
     const std::size_t kind = pick(100);
     if (kind < 35) {  // record path
-      TraceEvent expected = random_event();
-      expected.args.clear();
-      std::vector<Arg> args;
-      for (std::size_t i = arg_count(); i > 0; --i) {
-        args.push_back(emit_arg());
-        expected.args.emplace_back(args.back());
-      }
+      const Site& from = site();
+      const std::vector<Arg> args = emit_args(from);
+      TraceEvent expected = random_event(from, args);
       if (has_room()) {
         buffer.emplace(expected.t, expected.kind, expected.category, expected.name,
                        expected.track, expected.span, expected.run, args);
       }
       model_append(std::move(expected));
     } else if (kind < 70) {  // copy path
-      const TraceEvent event = random_event();
+      const TraceEvent event = any_event();
       const std::uint64_t span_offset = offset();
       const std::uint64_t run_offset = offset();
       if (has_room()) buffer.push_back(event, span_offset, run_offset);
@@ -283,7 +320,7 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
       EventBuffer other;
       std::vector<TraceEvent> other_model;
       for (std::size_t i = pick(3) == 0 ? pick(200) : pick(12); i > 0; --i) {
-        other_model.push_back(random_event());
+        other_model.push_back(any_event());
         other.push_back(other_model.back());
         if (rng.chance(0.05)) {
           const std::uint64_t span_offset = offset();
@@ -333,6 +370,7 @@ TEST(EventBuffer, RandomizedDifferentialAgainstVectorModel) {
     ASSERT_EQ(jsonl_of(buffer), jsonl_of(model)) << "op " << op;
   }
   EXPECT_GT(expected_dropped, 0u);
+  EXPECT_GT(interned_label_count() - labels_before, 1'000u);  // distinct shapes
 }
 
 TEST(TraceExport, JsonlRoundTripReproducesEvents) {
@@ -1001,6 +1039,49 @@ TEST(TraceRecorder, MergesOfDifferentLabelSetsMatchSerialRecording) {
   EXPECT_EQ(merged.run(), serial.run());
 }
 
+TEST(TraceRecorder, ShapesFirstSeenOnWorkerThreadsMergeLikeSerialRecording) {
+  // Four threads record trials whose names and arg keys no thread has met,
+  // so each event shape is first interned on the thread that records it.
+  // Merged in trial order on this thread, the recorders must export what
+  // serial recording of the same trials does.
+  static int invocation = 0;  // fresh labels under --gtest_repeat
+  const std::string prefix = "fresh" + std::to_string(invocation++) + "-";
+  constexpr int kThreads = 4;
+  constexpr int kTrialsPerThread = 16;
+  const auto record = [&](TraceRecorder& rec, int trial) {
+    const std::string tag = prefix + std::to_string(trial);
+    rec.next_run();
+    const std::uint64_t span = rec.begin(0.5 * trial, "recover", "rec." + tag, "rec-" + tag,
+                                         {{"cell-" + tag, tag}, {"n-" + tag, trial}});
+    rec.instant(0.75 * trial, "fault", "fault." + tag, "board",
+                {{"id-" + tag, std::uint64_t(trial)},
+                 {"delta-" + tag, std::int64_t{-trial}},
+                 {"delay-" + tag, Fixed{0.25 * trial, trial % 40}}});
+    rec.end(1.0 + trial, span, {{"outcome-" + tag, "ready"}});
+  };
+
+  std::vector<std::unique_ptr<TraceRecorder>> trials;
+  for (int i = 0; i < kThreads * kTrialsPerThread; ++i) {
+    trials.push_back(std::make_unique<TraceRecorder>());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = t * kTrialsPerThread; i < (t + 1) * kTrialsPerThread; ++i) {
+        record(*trials[static_cast<std::size_t>(i)], i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  TraceRecorder merged;
+  for (auto& trial : trials) merged.merge_from(std::move(*trial));
+
+  TraceRecorder serial;
+  for (int i = 0; i < kThreads * kTrialsPerThread; ++i) record(serial, i);
+  ASSERT_EQ(merged.events().size(), serial.events().size());
+  EXPECT_EQ(jsonl_of(merged.events()), jsonl_of(serial.events()));
+}
+
 TEST(TraceRecorder, MergeAcrossTheEventCapMatchesCappedSerialRecording) {
   // Per-trial recorders merged into a capped recorder must keep and drop
   // exactly the events serial recording into that cap would: a merge that
@@ -1024,60 +1105,6 @@ TEST(TraceRecorder, MergeAcrossTheEventCapMatchesCappedSerialRecording) {
     EXPECT_EQ(merged.dropped(), serial.dropped()) << "cap " << cap;
     EXPECT_EQ(merged.events().size(), std::min<std::size_t>(cap, 24)) << "cap " << cap;
   }
-}
-
-/// What `days` of the Table-1 station record.
-struct Recording {
-  std::size_t events = 0;
-  std::size_t bytes = 0;  ///< EventBuffer::memory_bytes
-};
-
-/// Record `days` of the Table-1 station (fused fedrcom, Table-1 fault
-/// rates, no repair loop).
-Recording record_table1_days(double days) {
-  station::StationConfig config;
-  config.split_fedrcom = false;
-  config.enable_domain_behavior = false;
-  station::InjectorConfig injector_config;
-  injector_config.suppress_double_faults = false;
-  injector_config.fedr_weibull_shape = 1.0;
-  TraceRecorder rec;
-  ScopedRecorder scope(rec);
-  sim::Simulator sim(17);
-  station::Station station(sim, config);
-  // The vocabulary a run may legitimately add: every component can be a
-  // fault's manifest or cure set, however rare its faults are.
-  for (const std::string& name : station.component_names()) Label{name};
-  station::FaultInjector injector(station, injector_config);
-  station.boot_instant();
-  injector.start();
-  sim.run_for(util::Duration::days(days));
-  return {rec.events().size(), rec.events().memory_bytes()};
-}
-
-TEST(TraceFootprint, InternPoolDoesNotGrowWithEventCount) {
-  // A value interned per event (a fault id as a string, say) would grow the
-  // process-wide pool without bound; the pool must depend only on the set
-  // of distinct labels, which two simulated years do not widen.
-  const std::size_t short_events = record_table1_days(30.0).events;
-  const std::size_t after_short = interned_label_count();
-  const std::size_t long_events = record_table1_days(730.0).events;
-  const std::size_t after_long = interned_label_count();
-  EXPECT_GT(long_events, 10 * short_events);
-  EXPECT_EQ(after_long, after_short);
-}
-
-TEST(TraceFootprint, TwoYearRecordingIsCompact) {
-  // Two simulated years record about 10^5 fault.manifest instants with four
-  // args each. As byte records they take about 25 bytes apiece (a decoded
-  // TraceEvent plus its args is 120).
-  const Recording two_years = record_table1_days(730.0);
-  ASSERT_GT(two_years.events, 100'000u);
-  const double per_event =
-      static_cast<double>(two_years.bytes) / static_cast<double>(two_years.events);
-  RecordProperty("bytes_per_event", std::to_string(per_event));
-  EXPECT_LE(per_event, 40.0) << two_years.bytes << " bytes for " << two_years.events
-                             << " events";
 }
 
 }  // namespace
